@@ -204,8 +204,8 @@ RunResult RunConfig(const std::string& name,
   const std::vector<float> pixels = RandomImage(config, /*seed=*/7);
   const serve::RetryPolicy retry = BenchRetryPolicy();
 
-  // Warm up kernel dispatch, thread pool and the quantized-weight cache so
-  // the timed window measures steady-state serving.
+  // Warm up kernel dispatch and the thread pool so the timed window
+  // measures steady-state serving.
   {
     Rng warm_rng(11);
     serve::Client warm;

@@ -51,7 +51,7 @@ int main() {
 
   std::vector<std::string> methods =
       EnvStringList("CDCL_METHODS", {"DER", "HAL", "CDTrans-S", "CDCL", "TVT"});
-  const int64_t threads = bench::ConfigureBenchThreads();
+  const int64_t threads = kernels::GetNumThreads();
 
   std::printf("== Table III - DomainNet 6x6 (synthetic substitution) ==\n");
   std::printf(

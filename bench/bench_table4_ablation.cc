@@ -91,7 +91,7 @@ int main() {
   }
 
   const char* kPairs[][2] = {{"MN", "US"}, {"US", "MN"}};
-  const int64_t threads = bench::ConfigureBenchThreads();
+  const int64_t threads = kernels::GetNumThreads();
 
   std::printf("== Table IV - ablation study (synthetic digits, threads=%lld) ==\n",
               static_cast<long long>(threads));

@@ -5,12 +5,8 @@
 // run; the conv row times a full forward+backward step through the parallel
 // per-chunk grad-scratch path; the attention rows time the fused batched
 // inference path against the per-sample eval loop it replaces (both at 8
-// threads too, the acceptance shape for the batched-eval PR) and the same
-// path under the reduced-precision weight modes (CDCL_GEMM_PRECISION);
-// the matmul_bf16/int8 rows time the pre-packed quantized GEMM kernels, and
-// a snapshot-footprint block reports the quantized published-weight and
-// CompactFloats byte sizes vs fp32. Prints the usual aligned table and
-// emits a BENCH_kernels.json report for tracking.
+// threads too, the acceptance shape for the batched-eval PR). Prints the
+// usual aligned table and emits a BENCH_kernels.json report for tracking.
 //
 // Env knobs:
 //   CDCL_BENCH_REPS   timing repetitions, best-of (default 3)
@@ -29,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "cl/memory.h"
 #include "models/compact_transformer.h"
 #include "nn/attention.h"
 #include "nn/module.h"
@@ -38,10 +33,8 @@
 #include "tensor/kernels/kernel_context.h"
 #include "tensor/kernels/layernorm.h"
 #include "tensor/kernels/matmul_kernel.h"
-#include "tensor/kernels/matmul_quant.h"
 #include "tensor/kernels/parallel.h"
 #include "tensor/kernels/vec_math.h"
-#include "tensor/quantized.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 #include "util/env.h"
@@ -105,8 +98,8 @@ struct BenchRow {
   }
 };
 
-/// Headline ratios surfaced at the top of the JSON report (each one a
-/// speedup or a bytes-vs-fp32 ratio; see the section that computes it).
+/// Headline speedups surfaced at the top of the JSON report (see the section
+/// that computes each one).
 struct Headlines {
   double packed_vs_blocked_1t = 0.0;
   double batched_attention_8t = 0.0;
@@ -115,10 +108,6 @@ struct Headlines {
   double vec_exp_1t = 0.0;
   double vec_tanh_1t = 0.0;
   double layernorm_fused_1t = 0.0;
-  double quant_attn_bf16_1t = 0.0;
-  double quant_attn_int8_1t = 0.0;
-  double snapshot_weights_bf16_vs_fp32 = 0.0;
-  double snapshot_weights_int8_vs_fp32 = 0.0;
   double dispatch_overhead_old_vs_new = 0.0;
   double train_step_pipelined_8t = 0.0;
 };
@@ -139,19 +128,12 @@ void WriteJson(const std::string& path, const std::vector<BenchRow>& rows,
                "  \"vec_exp_1t\": %.3f,\n"
                "  \"vec_tanh_1t\": %.3f,\n"
                "  \"layernorm_fused_1t\": %.3f,\n"
-               "  \"quant_attn_bf16_1t\": %.3f,\n"
-               "  \"quant_attn_int8_1t\": %.3f,\n"
-               "  \"snapshot_weights_bf16_vs_fp32\": %.3f,\n"
-               "  \"snapshot_weights_int8_vs_fp32\": %.3f,\n"
                "  \"dispatch_overhead_old_vs_new\": %.3f,\n"
                "  \"train_step_pipelined_8t\": %.3f,\n"
                "  \"results\": [\n",
                h.packed_vs_blocked_1t, h.batched_attention_8t,
                h.train_step_fused_arena_1t, h.train_step_fused_arena_8t,
                h.vec_exp_1t, h.vec_tanh_1t, h.layernorm_fused_1t,
-               h.quant_attn_bf16_1t, h.quant_attn_int8_1t,
-               h.snapshot_weights_bf16_vs_fp32,
-               h.snapshot_weights_int8_vs_fp32,
                h.dispatch_overhead_old_vs_new, h.train_step_pipelined_8t);
   for (size_t i = 0; i < rows.size(); ++i) {
     const BenchRow& r = rows[i];
@@ -227,42 +209,6 @@ int main() {
       }
       kernels::SetGemmKernel(kernels::GemmKernel::kAuto);
       rows.push_back(row);
-    }
-
-    // Reduced-precision weight tiers on the same shape. B is packed outside
-    // the timed region — that is the deployment story (QuantizedBlock is
-    // built once per published parameter set), so the loop times exactly the
-    // per-call eval GEMM cost. Compare against matmul_packed, which pays a
-    // per-call fp32 repack.
-    {
-      const int64_t panels =
-          (n + kernels::kQuantPanel - 1) / kernels::kQuantPanel;
-      std::vector<uint16_t> b16(
-          static_cast<size_t>(panels * k * kernels::kQuantPanel));
-      kernels::PackBf16NN(k, n, b.data(), b16.data());
-      std::vector<int8_t> q(
-          static_cast<size_t>(panels * k * kernels::kQuantPanel));
-      std::vector<float> scales(
-          static_cast<size_t>(panels * kernels::kQuantPanel));
-      kernels::PackInt8NN(k, n, b.data(), q.data(), scales.data());
-      BenchRow bf_row, i8_row;
-      bf_row.op = "matmul_bf16_packed";
-      i8_row.op = "matmul_int8_packed";
-      bf_row.size = i8_row.size = size;
-      bf_row.serial_ms = i8_row.serial_ms = seed_serial_ms;
-      for (int64_t t : thread_counts) {
-        kernels::SetNumThreads(t);
-        bf_row.per_thread_ms.emplace_back(t, TimeMs(reps, [&] {
-          kernels::GemmNNBf16Packed(m, n, k, a.data(), b16.data(), c.data(),
-                                    false);
-        }));
-        i8_row.per_thread_ms.emplace_back(t, TimeMs(reps, [&] {
-          kernels::GemmNNInt8Packed(m, n, k, a.data(), q.data(), scales.data(),
-                                    c.data(), false);
-        }));
-      }
-      rows.push_back(bf_row);
-      rows.push_back(i8_row);
     }
   }
 
@@ -381,8 +327,6 @@ int main() {
     rows.push_back(row);
   }
 
-  double quant_attn_bf16_1t = 0.0, quant_attn_int8_1t = 0.0;
-
   // --- Batched fused attention vs the per-sample eval loop ------------------
   // Paper-model eval shape: seq 16 tokens (image_hw=16 through the 2-layer
   // tokenizer) at embed_dim 24 (ModelConfig::Small). Per-sample, every GEMM
@@ -433,39 +377,6 @@ int main() {
     }
     rows.push_back(loop_row);
     rows.push_back(fused_row);
-
-    // Quantized eval modes through the same fused batched path: the
-    // projections consume the cached QuantizedBlock (Linear::EvalGemm), the
-    // score/softmax/V epilogues stay fp32. The headline comparison is vs the
-    // fp32 fused path at 1 thread.
-    const double attn_fp32_1t = fused_row.ThreadMs(1);
-    const struct {
-      kernels::GemmPrecision precision;
-      const char* op;
-      double* headline;
-    } kQuantAttnRows[] = {
-        {kernels::GemmPrecision::kBf16, "attn_eval_batched_bf16",
-         &quant_attn_bf16_1t},
-        {kernels::GemmPrecision::kInt8, "attn_eval_batched_int8",
-         &quant_attn_int8_1t},
-    };
-    for (const auto& spec : kQuantAttnRows) {
-      kernels::SetGemmPrecision(spec.precision);
-      batched();  // warm-up: builds the quantized weight caches
-      BenchRow qrow;
-      qrow.op = spec.op;
-      qrow.size = size;
-      qrow.serial_ms = per_sample_1t;
-      for (int64_t t : attn_threads) {
-        kernels::SetNumThreads(t);
-        qrow.per_thread_ms.emplace_back(t, TimeMs(reps, batched));
-      }
-      if (attn_fp32_1t > 0.0 && qrow.ThreadMs(1) > 0.0) {
-        *spec.headline = attn_fp32_1t / qrow.ThreadMs(1);
-      }
-      rows.push_back(qrow);
-    }
-    kernels::SetGemmPrecision(kernels::GemmPrecision::kFp32);
   }
 
   // --- Training step: EncodeCross fwd + bwd + AdamW at the paper shape ------
@@ -748,45 +659,6 @@ int main() {
   kernels::SetNumThreads(0);
   kernels::SetVecMath(ambient_vec_math);
 
-  // --- Snapshot memory footprint --------------------------------------------
-  // Resident bytes of the reduced-precision published-weight blocks over the
-  // paper model's 2-D (GEMM-consumed) weights, vs their fp32 storage, plus
-  // the CompactFloats rehearsal-record encoding of a logits/feature vector.
-  double snapshot_bf16_ratio = 0.0, snapshot_int8_ratio = 0.0;
-  {
-    Rng rng(17);
-    models::ModelConfig config = models::ModelConfig::Small(16, 3);
-    models::CompactTransformer model(config, &rng);
-    model.AddTask(4);
-    size_t fp32_bytes = 0, bf16_bytes = 0, int8_bytes = 0;
-    for (const Tensor& p : model.Parameters()) {
-      if (p.shape().ndim() != 2) continue;
-      fp32_bytes += static_cast<size_t>(p.NumElements()) * sizeof(float);
-      bf16_bytes +=
-          QuantizeWeight(p, kernels::GemmPrecision::kBf16).ByteSize();
-      int8_bytes +=
-          QuantizeWeight(p, kernels::GemmPrecision::kInt8).ByteSize();
-    }
-    if (fp32_bytes > 0) {
-      snapshot_bf16_ratio =
-          static_cast<double>(bf16_bytes) / static_cast<double>(fp32_bytes);
-      snapshot_int8_ratio =
-          static_cast<double>(int8_bytes) / static_cast<double>(fp32_bytes);
-    }
-    const std::vector<float> feat = RandVec(4096, 19);
-    kernels::SetGemmPrecision(kernels::GemmPrecision::kBf16);
-    const size_t cf_bf16 = cl::CompactFloats::Encode(feat).ByteSize();
-    kernels::SetGemmPrecision(kernels::GemmPrecision::kInt8);
-    const size_t cf_int8 = cl::CompactFloats::Encode(feat).ByteSize();
-    kernels::SetGemmPrecision(kernels::GemmPrecision::kFp32);
-    std::printf(
-        "snapshot footprint: model 2-D weights %zu B fp32 -> %zu B bf16 "
-        "(%.2fx), %zu B int8 (%.2fx); CompactFloats 4096-float record "
-        "%zu B fp32 -> %zu B bf16, %zu B int8\n",
-        fp32_bytes, bf16_bytes, snapshot_bf16_ratio, int8_bytes,
-        snapshot_int8_ratio, feat.size() * sizeof(float), cf_bf16, cf_int8);
-  }
-
   std::vector<std::string> header = {"op", "size", "serial ms"};
   for (int64_t t : thread_counts) {
     header.push_back(StrFormat("%lldT ms", static_cast<long long>(t)));
@@ -862,11 +734,6 @@ int main() {
       "layernorm vectorized vs legacy rows: %.2fx\n",
       vec_exp_1t, vec_tanh_1t, layernorm_fused_1t);
 
-  std::printf(
-      "quantized batched attention eval vs fp32 fused (1 thread): "
-      "bf16 %.2fx, int8 %.2fx\n",
-      quant_attn_bf16_1t, quant_attn_int8_1t);
-
   // Headline numbers for the persistent scheduler and the async pipeline:
   // empty-region dispatch latency old/new, and the pipelined step vs its
   // deferred-sync twin at 8 threads.
@@ -892,10 +759,6 @@ int main() {
   headlines.vec_exp_1t = vec_exp_1t;
   headlines.vec_tanh_1t = vec_tanh_1t;
   headlines.layernorm_fused_1t = layernorm_fused_1t;
-  headlines.quant_attn_bf16_1t = quant_attn_bf16_1t;
-  headlines.quant_attn_int8_1t = quant_attn_int8_1t;
-  headlines.snapshot_weights_bf16_vs_fp32 = snapshot_bf16_ratio;
-  headlines.snapshot_weights_int8_vs_fp32 = snapshot_int8_ratio;
   headlines.dispatch_overhead_old_vs_new = dispatch_old_vs_new;
   headlines.train_step_pipelined_8t = train_step_pipelined_8t;
   WriteJson(out_path, rows, headlines);

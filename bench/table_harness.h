@@ -7,7 +7,7 @@
 //   CDCL_METHODS       comma list; default per bench
 //   CDCL_SEEDS         number of seeds averaged (default 1)
 //   CDCL_NUM_THREADS   worker threads for the shared kernel pool (default:
-//                      hardware concurrency; CDCL_THREADS is a legacy alias)
+//                      hardware concurrency)
 //   CDCL_GEMM_KERNEL   pin the GEMM dispatcher (auto|scalar|packed)
 //   CDCL_FUSED_EVAL    0 disables the fused batched inference path (bitwise
 //                      identical either way; escape hatch only)
@@ -42,18 +42,6 @@
 
 namespace cdcl {
 namespace bench {
-
-/// Applies the harness thread knobs to the shared kernel pool and returns
-/// the resolved count. CDCL_THREADS (the pre-unification knob) still works
-/// as an alias but never overrides CDCL_NUM_THREADS, which KernelContext
-/// itself resolves.
-inline int64_t ConfigureBenchThreads() {
-  const int64_t legacy = EnvInt("CDCL_THREADS", 0);
-  if (legacy > 0 && EnvInt("CDCL_NUM_THREADS", 0) <= 0) {
-    kernels::SetNumThreads(legacy);
-  }
-  return kernels::GetNumThreads();
-}
 
 struct PairSpec {
   std::string source;
@@ -90,7 +78,7 @@ inline int RunTableBench(TableBenchConfig config) {
   core::ApplyEnvOverrides(&config.spec, &config.options);
   config.methods = EnvStringList("CDCL_METHODS", config.methods);
   const int64_t seeds = EnvInt("CDCL_SEEDS", 1);
-  const int64_t threads = ConfigureBenchThreads();
+  const int64_t threads = kernels::GetNumThreads();
   config.spec.family = config.family;
 
   std::printf("== %s ==\n", config.title.c_str());

@@ -6,13 +6,14 @@
 # bugs hide — under ASan the arena allocates per-request so a tensor
 # escaping its step scope is a real heap-use-after-free) and the
 # ctest-labeled `concurrency` suites (serving, scheduler torture, step
-# pipeline), a TSan pass over the lock-free concurrency suites
-# (quantized-cache publish, micro-batcher, serve-while-train snapshot
-# hand-off, scheduler epoch protocol, pipeline handoff) with the soak
-# volumes bumped, the crash-safety fault matrix (checkpoint commit-protocol
-# crashes, corruption fallback, trainer-death degradation) under ASan and
-# TSan plus a restore-determinism rerun in the alternate execution modes,
-# an examples build check, and a docs knob-consistency grep
+# pipeline), the concurrency suites and the batched-eval suite rerun at 4
+# and 8 kernel threads, a TSan pass over the lock-free concurrency suites
+# (micro-batcher, serve-while-train snapshot hand-off, scheduler epoch
+# protocol, pipeline handoff) with the soak volumes bumped, the
+# crash-safety fault matrix (checkpoint commit-protocol crashes, corruption
+# fallback, trainer-death degradation) under ASan and TSan plus a
+# restore-determinism rerun in the alternate execution modes, an examples
+# build check, and a docs knob-consistency grep
 # (README.md must not document env knobs that no longer exist in the
 # source). Usage: scripts/verify.sh [jobs]
 set -euo pipefail
@@ -39,16 +40,16 @@ for example in examples/*.cc; do
   fi
 done
 
-echo "== ASan/UBSan: kernel + batched-eval + arena + vec-math + quant suites =="
+echo "== ASan/UBSan: kernel + batched-eval + arena + vec-math suites =="
 asan_dir="build-verify-asan"
 cmake -B "${asan_dir}" -S . -DCMAKE_BUILD_TYPE=Debug -DCDCL_SANITIZE=ON \
   -DCDCL_BUILD_BENCH=OFF -DCDCL_BUILD_EXAMPLES=OFF
 cmake --build "${asan_dir}" -j "${JOBS}" \
   --target kernels_test gemm_packed_test batched_eval_test arena_test \
-  vec_math_test gemm_quant_test quant_eval_test serve_test \
+  vec_math_test serve_test \
   continual_serve_test degrade_test scheduler_test pipeline_test ckpt_test
 ctest --test-dir "${asan_dir}" --output-on-failure -j "${JOBS}" \
-  -R '^(kernels_test|gemm_packed_test|batched_eval_test|arena_test|vec_math_test|gemm_quant_test|quant_eval_test)$'
+  -R '^(kernels_test|gemm_packed_test|batched_eval_test|arena_test|vec_math_test)$'
 
 echo "== ASan/UBSan: checkpoint crash-safety fault matrix =="
 # The full deterministic fault matrix — injected crashes at every syscall of
@@ -75,18 +76,21 @@ echo "== legacy numerics mode: arena suite with CDCL_VEC_MATH=0 =="
 CDCL_VEC_MATH=0 ctest --test-dir "${asan_dir}" --output-on-failure \
   -j "${JOBS}" -R '^arena_test$'
 
-echo "== reduced precision mode: batched-eval coherence with CDCL_GEMM_PRECISION=bf16 =="
-# Within a quantized mode the op-by-op eval forward and the fused batched
-# forward consume the same QuantizedBlock, so the whole bitwise coherence
-# suite must stay green — otherwise the two eval paths have drifted apart.
-CDCL_GEMM_PRECISION=bf16 ctest --test-dir "${asan_dir}" --output-on-failure \
-  -j "${JOBS}" -R '^batched_eval_test$'
+echo "== region pool at 4 and 8 threads: concurrency label + batched-eval suite =="
+# With more than one kernel thread, pool workers really run region chunks,
+# even on a 1-core host. Any thread-local policy that does not travel with a
+# chunk then breaks a bitwise contract in these suites.
+for threads in 4 8; do
+  CDCL_NUM_THREADS="${threads}" ctest --test-dir build-verify-release \
+    --output-on-failure -j "${JOBS}" -L concurrency
+  CDCL_NUM_THREADS="${threads}" ctest --test-dir build-verify-release \
+    --output-on-failure -j "${JOBS}" -R '^batched_eval_test$'
+done
 
-echo "== TSan: quantized-cache + micro-batcher + serve-while-train suites =="
-# The lock-free serving pieces — the QuantizedBlock cache's atomic
-# shared_ptr publish, the micro-batcher's queue/deadline handoff, and the
-# continual server's snapshot publish racing live micro-batches — are
-# exactly the code ASan cannot vet. Skipped (with a note) only when the
+echo "== TSan: micro-batcher + serve-while-train suites =="
+# The lock-free serving pieces — the micro-batcher's queue/deadline handoff
+# and the continual server's snapshot publish racing live micro-batches —
+# are exactly the code ASan cannot vet. Skipped (with a note) only when the
 # toolchain cannot link ThreadSanitizer.
 tsan_probe="$(mktemp -d)"
 trap 'rm -rf "${tsan_probe}"' EXIT
@@ -97,10 +101,8 @@ if c++ -fsanitize=thread "${tsan_probe}/probe.cc" -o "${tsan_probe}/probe" \
   cmake -B "${tsan_dir}" -S . -DCMAKE_BUILD_TYPE=Debug -DCDCL_TSAN=ON \
     -DCDCL_BUILD_BENCH=OFF -DCDCL_BUILD_EXAMPLES=OFF
   cmake --build "${tsan_dir}" -j "${JOBS}" \
-    --target quant_eval_test serve_test continual_serve_test \
-    degrade_test scheduler_test pipeline_test
-  "${tsan_dir}/quant_eval_test" \
-    --gtest_filter='QuantizedCacheConcurrencyTest.*'
+    --target serve_test continual_serve_test degrade_test scheduler_test \
+    pipeline_test
   # The persistent-scheduler epoch protocol and the step-pipeline handoff
   # are lock-free by design on their fast paths — TSan is the only tool
   # that can vet the publish/claim orderings under real interleavings.
@@ -150,4 +152,4 @@ if [[ "${stale}" -ne 0 ]]; then
   exit 1
 fi
 
-echo "verify: OK (Debug + Release + examples + ASan/UBSan + fault matrix + legacy-numerics + TSan + restore determinism + docs knobs)"
+echo "verify: OK (Debug + Release + examples + ASan/UBSan + fault matrix + legacy-numerics + 4/8-thread reruns + TSan + restore determinism + docs knobs)"

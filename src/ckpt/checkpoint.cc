@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "ckpt/io.h"
-#include "tensor/quantized.h"
 #include "util/logging.h"
 #include "util/serialize.h"
 
@@ -15,6 +14,13 @@ namespace ckpt {
 namespace {
 
 constexpr uint32_t kFormatVersion = 1;
+
+/// True when `count` elements of at least `min_bytes` encoded bytes each fit
+/// in what is left of `r`. Checked before every resize(count), so a corrupt
+/// count is rejected instead of becoming an attacker-sized allocation.
+bool CountFits(const ByteReader& r, uint64_t count, size_t min_bytes) {
+  return count <= r.remaining() / min_bytes;
+}
 
 // --- encode helpers --------------------------------------------------------
 
@@ -73,6 +79,7 @@ bool ReadCompactFloats(ByteReader* r, cl::CompactFloats* out) {
   std::vector<int8_t> i8;
   switch (mode) {
     case kernels::GemmPrecision::kBf16: {
+      if (!CountFits(*r, n, sizeof(uint16_t))) return false;
       bf16.resize(static_cast<size_t>(n));
       for (auto& v : bf16) {
         uint8_t lo = 0, hi = 0;
@@ -82,10 +89,12 @@ bool ReadCompactFloats(ByteReader* r, cl::CompactFloats* out) {
       break;
     }
     case kernels::GemmPrecision::kInt8:
+      if (!CountFits(*r, n, sizeof(int8_t))) return false;
       i8.resize(static_cast<size_t>(n));
       if (!r->GetBytes(i8.data(), i8.size())) return false;
       break;
     default: {
+      if (!CountFits(*r, n, sizeof(float))) return false;
       f32.resize(static_cast<size_t>(n));
       for (auto& v : f32) {
         if (!r->GetF32(&v)) return false;
@@ -150,7 +159,8 @@ Status ParseCheckpoint(const std::vector<uint8_t>& bytes,
       return Status::IoError("checkpoint: unsupported format version");
     }
     if (!r.GetI64(&out->next_task) || !r.GetI64(&tasks_seen) ||
-        !r.GetU64(&count) || tasks_seen != static_cast<int64_t>(count)) {
+        !r.GetU64(&count) || tasks_seen != static_cast<int64_t>(count) ||
+        !CountFits(r, count, sizeof(int64_t))) {
       return MalformedSection("meta");
     }
     out->classes_per_task.resize(static_cast<size_t>(count));
@@ -162,7 +172,10 @@ Status ParseCheckpoint(const std::vector<uint8_t>& bytes,
   {
     ByteReader r(by_tag[kModel]->payload);
     uint64_t count = 0;
-    if (!r.GetU64(&count)) return MalformedSection("model");
+    // name length u64 + requires_grad u8 + ndim u8 + float count u64.
+    if (!r.GetU64(&count) || !CountFits(r, count, 18)) {
+      return MalformedSection("model");
+    }
     out->params.resize(static_cast<size_t>(count));
     for (auto& p : out->params) {
       uint8_t rg = 0, ndim = 0;
@@ -181,7 +194,10 @@ Status ParseCheckpoint(const std::vector<uint8_t>& bytes,
   {
     ByteReader r(by_tag[kOptim]->payload);
     uint64_t count = 0;
-    if (!r.GetU64(&count)) return MalformedSection("optim");
+    // present u8 + step i64 + two float counts u64.
+    if (!r.GetU64(&count) || !CountFits(r, count, 25)) {
+      return MalformedSection("optim");
+    }
     out->optim.resize(static_cast<size_t>(count));
     for (auto& e : out->optim) {
       uint8_t present = 0;
@@ -208,7 +224,11 @@ Status ParseCheckpoint(const std::vector<uint8_t>& bytes,
   {
     ByteReader r(by_tag[kMemory]->payload);
     uint64_t count = 0;
-    if (!r.GetI64(&out->memory_num_tasks) || !r.GetU64(&count)) {
+    // Two tensors (ndim u8 + float count u64 each), three i64 labels, three
+    // CompactFloats headers (mode u8 + count u64 + scale f32 each), the
+    // logit_tasks i64 and the confidence f32.
+    if (!r.GetI64(&out->memory_num_tasks) || !r.GetU64(&count) ||
+        !CountFits(r, count, 2 * 9 + 3 * 8 + 3 * 13 + 8 + 4)) {
       return MalformedSection("memory");
     }
     out->records.resize(static_cast<size_t>(count));
@@ -260,9 +280,6 @@ Status ApplyCheckpoint(const ParsedCheckpoint& parsed,
     }
     std::memcpy(t.data(), p.values.data(), p.values.size() * sizeof(float));
   }
-  // Restored weights are a new published parameter set: invalidate every
-  // cached reduced-precision snapshot, as CopyParametersFrom does.
-  BumpWeightVersion();
 
   const auto trainable = trainer->mutable_model()->TrainableParameters();
   if (trainable.size() != parsed.optim.size()) {

@@ -22,9 +22,9 @@ CompactFloats CompactFloats::Encode(const std::vector<float>& x) {
       break;
     }
     case kernels::GemmPrecision::kInt8: {
-      // Symmetric per-vector absmax quantization — the same scheme as
-      // QuantizeInt8Slice (tensor/kernels/matmul_quant.cc), including the
-      // denormal-scale flush to exact zeros.
+      // Symmetric per-vector absmax quantization. A subnormal (or zero)
+      // scale cannot carry 8 bits of signal, so all-zero and denormal
+      // vectors flush to exact zeros with scale 0.
       float amax = 0.0f;
       for (float v : x) amax = std::max(amax, std::fabs(v));
       const float scale = amax / 127.0f;

@@ -20,7 +20,7 @@ namespace cl {
 ///   - bf16: round-to-nearest-even bf16 codes (2 bytes/element).
 ///   - int8: symmetric per-vector absmax codes + one fp32 scale
 ///     (1 byte/element). An all-zero or denormal-absmax vector stores
-///     scale 0 and decodes to exact zeros, mirroring QuantizeWeight.
+///     scale 0 and decodes to exact zeros.
 /// Reads decode on the fly; replay consumers index records element-wise, so
 /// operator[] keeps their loops unchanged.
 class CompactFloats {

@@ -64,9 +64,7 @@ std::shared_ptr<CompactTransformer> CompactTransformer::CloneSnapshot() const {
   // below, so the rng seed is irrelevant — it only feeds initializers), then
   // replay the task growth so parameter registration order and shapes match
   // the source exactly, and bulk-copy every value into the clone's own
-  // storage. CopyParametersFrom verifies name-for-name correspondence and
-  // bumps the global weight generation, which also invalidates any
-  // reduced-precision caches a previous publish may have warmed.
+  // storage. CopyParametersFrom verifies name-for-name correspondence.
   auto rng = std::make_unique<Rng>(0);
   auto clone = std::make_shared<CompactTransformer>(config_, rng.get());
   clone->owned_rng_ = std::move(rng);

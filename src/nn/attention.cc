@@ -132,9 +132,7 @@ Tensor TaskConditionedAttention::SelfAttentionFused(const Tensor& x,
 
   // The three projections as single (b*n, d) GEMMs — the same flattened call
   // Linear::Forward issues, minus the reshape/tape plumbing. The GEMMs
-  // overwrite every element, so the outputs skip the zero-fill. EvalGemm
-  // consumes the quantized weight snapshot in reduced-precision modes (the
-  // same block Linear::Forward reads, keeping both paths bitwise).
+  // overwrite every element, so the outputs skip the zero-fill.
   Tensor q = Tensor::Uninitialized(x.shape());
   Tensor k = Tensor::Uninitialized(x.shape());
   Tensor v = Tensor::Uninitialized(x.shape());

@@ -1,11 +1,7 @@
 #include "nn/layers.h"
 
-#include <atomic>
 #include <cmath>
-#include <memory>
-#include <utility>
 
-#include "tensor/kernels/fused_eval.h"
 #include "tensor/kernels/layernorm.h"
 #include "tensor/kernels/matmul_kernel.h"
 #include "tensor/tensor_ops.h"
@@ -35,25 +31,8 @@ Tensor Linear::Forward(const Tensor& x) const {
     CDCL_CHECK_EQ(x.dim(-1), in_features_);
     input = ops::Reshape(x, Shape{x.NumElements() / in_features_, in_features_});
   }
-  Tensor out;
-  const std::shared_ptr<const QuantizedBlock> qb =
-      GradModeEnabled() ? nullptr : quantized_snapshot();
-  if (qb != nullptr) {
-    // Reduced-precision eval: consume the published quantized snapshot. The
-    // fused eval path (EvalGemm) reads the same block, so op-by-op and fused
-    // forwards agree bitwise within the precision mode. Training forwards
-    // never take this branch — gradients always see fp32 weights.
-    const int64_t rows = input.dim(0);
-    out = Tensor::Uninitialized(Shape{rows, out_features_});
-    GemmNNQuant(rows, input.data(), *qb, out.data(), /*accumulate=*/false);
-    if (bias_.defined()) {
-      kernels::BiasAddMap(rows * out_features_, out_features_, out.data(),
-                          bias_.data());
-    }
-  } else {
-    out = ops::MatMul(input, weight_);
-    if (bias_.defined()) out = ops::Add(out, bias_);
-  }
+  Tensor out = ops::MatMul(input, weight_);
+  if (bias_.defined()) out = ops::Add(out, bias_);
   if (original.ndim() != 2) {
     std::vector<int64_t> dims = original.dims();
     dims.back() = out_features_;
@@ -62,42 +41,8 @@ Tensor Linear::Forward(const Tensor& x) const {
   return out;
 }
 
-std::shared_ptr<const QuantizedBlock> Linear::quantized_snapshot() const {
-  const kernels::GemmPrecision p = kernels::GetGemmPrecision();
-  if (p == kernels::GemmPrecision::kFp32) return nullptr;
-  const uint64_t version = WeightVersion();
-  std::shared_ptr<const CachedQuantizedWeight> cached =
-      std::atomic_load_explicit(&qcache_, std::memory_order_acquire);
-  if (cached == nullptr || cached->version != version ||
-      cached->precision != p) {
-    // Stale (or first touch): rebuild and publish. Concurrent rebuilders do
-    // redundant work but publish byte-identical blocks (QuantizeWeight is
-    // deterministic), so last-write-wins is safe; readers that loaded the
-    // retiring block keep it alive through their shared_ptr.
-    auto fresh = std::make_shared<CachedQuantizedWeight>();
-    fresh->version = version;
-    fresh->precision = p;
-    fresh->block = QuantizeWeight(weight_, p);
-    std::atomic_store_explicit(
-        &qcache_, std::shared_ptr<const CachedQuantizedWeight>(fresh),
-        std::memory_order_release);
-    cached = std::move(fresh);
-  }
-  // Aliasing ctor: the returned pointer shares ownership of the whole record.
-  return std::shared_ptr<const QuantizedBlock>(cached, &cached->block);
-}
-
-const QuantizedBlock* Linear::quantized_weight() const {
-  return quantized_snapshot().get();
-}
-
 void Linear::EvalGemm(int64_t rows, const float* x, float* out) const {
   CDCL_CHECK(!GradModeEnabled());
-  const std::shared_ptr<const QuantizedBlock> qb = quantized_snapshot();
-  if (qb != nullptr) {
-    GemmNNQuant(rows, x, *qb, out, /*accumulate=*/false);
-    return;
-  }
   kernels::GemmNN(rows, out_features_, in_features_, x, weight_.data(), out,
                   /*accumulate=*/false);
 }

@@ -2,10 +2,8 @@
 #define CDCL_NN_LAYERS_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "nn/module.h"
-#include "tensor/quantized.h"
 #include "tensor/tensor.h"
 
 namespace cdcl {
@@ -22,31 +20,8 @@ class Linear : public Module {
   Tensor Forward(const Tensor& x) const;
 
   /// Raw no-tape GEMM over (rows, in) -> (rows, out) buffers for the fused
-  /// eval path: no bias, no reshape. In a reduced-precision mode this
-  /// consumes the cached QuantizedBlock — the same block Forward consumes in
-  /// eval, so the op path and the fused path stay bitwise identical within
-  /// every precision mode. Must not be called under grad mode. Safe for
-  /// concurrent callers (see quantized_snapshot()).
+  /// eval path: no bias, no reshape. Must not be called under grad mode.
   void EvalGemm(int64_t rows, const float* x, float* out) const;
-
-  /// The published-weight quantized block for the current precision mode, or
-  /// nullptr in fp32 mode. Rebuilt lazily when the weight generation
-  /// (tensor/quantized.h WeightVersion) or the mode changes, and published
-  /// through an atomic shared_ptr: any number of reader threads may call
-  /// this concurrently (inference-server workers serving one snapshot), and
-  /// a concurrent republish (version bump) is race-free — late readers of
-  /// the stale block keep a live reference, fresh readers rebuild. Quantize
-  /// is deterministic, so racing rebuilders publish byte-identical blocks
-  /// and the bitwise op-vs-fused coherence contract holds regardless of
-  /// which publish wins. Writers mutating the fp32 weight data itself must
-  /// still be quiesced against readers, like all parameter mutation.
-  std::shared_ptr<const QuantizedBlock> quantized_snapshot() const;
-
-  /// Convenience raw-pointer view of quantized_snapshot(); nullptr in fp32
-  /// mode. The pointer stays valid until the next weight publish invalidates
-  /// the cache, so callers that may race a republish must hold the
-  /// shared_ptr form instead.
-  const QuantizedBlock* quantized_weight() const;
 
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }
@@ -58,16 +33,6 @@ class Linear : public Module {
   int64_t out_features_;
   Tensor weight_;  // (in, out)
   Tensor bias_;    // (out) or undefined
-  // Quantized-eval snapshot cache: one immutable record (version, precision,
-  // block) published via std::atomic_load/atomic_store on the shared_ptr so
-  // concurrent readers and a racing republish never tear (see
-  // quantized_snapshot()).
-  struct CachedQuantizedWeight {
-    uint64_t version = 0;
-    kernels::GemmPrecision precision = kernels::GemmPrecision::kFp32;
-    QuantizedBlock block;
-  };
-  mutable std::shared_ptr<const CachedQuantizedWeight> qcache_;
 };
 
 /// 2D convolution layer (NCHW), square kernel.

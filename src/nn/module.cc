@@ -2,7 +2,6 @@
 
 #include <atomic>
 
-#include "tensor/quantized.h"
 #include "util/env.h"
 #include "util/logging.h"
 
@@ -115,9 +114,6 @@ void Module::CopyParametersFrom(const Module& other) {
         << mine[i].name;
     mine[i].tensor.CopyDataFrom(theirs[i].tensor);
   }
-  // The copied weights are a new published parameter set — invalidate every
-  // cached reduced-precision snapshot (Linear::quantized_weight).
-  BumpWeightVersion();
 }
 
 }  // namespace nn

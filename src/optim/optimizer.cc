@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "tensor/kernels/parallel.h"
-#include "tensor/quantized.h"
 #include "util/logging.h"
 
 namespace cdcl {
@@ -103,7 +102,6 @@ void Sgd::Step() {
                        for (int64_t i = lo; i < hi; ++i) b.w[i] -= lr * b.g[i];
                      });
   }
-  BumpWeightVersion();
 }
 
 Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
@@ -158,7 +156,6 @@ void Adam::Step() {
       if (decoupled_wd) b.w[i] -= lr * wd * b.w[i];
     }
   });
-  BumpWeightVersion();
 }
 
 std::vector<Adam::ExportedState> Adam::ExportState() const {

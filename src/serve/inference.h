@@ -41,9 +41,7 @@ void SetRunSeamForTest(std::function<void(uint32_t version)> seam);
 /// is published underneath them. Requires the publisher to have called
 /// SetTraining(false) and to never mutate the instance afterwards —
 /// CompactTransformer::CloneSnapshot() builds exactly such an isolated deep
-/// copy from a live trainer model. Per-layer quantized-weight caches are
-/// themselves concurrent-reader-safe (nn::Linear::quantized_snapshot), so
-/// reduced-precision modes serve from the same snapshot machinery.
+/// copy from a live trainer model.
 ///
 /// Batch execution groups requests by task id (attention is task-keyed),
 /// runs ONE fused batched encode per group (CompactTransformer::
@@ -51,8 +49,8 @@ void SetRunSeamForTest(std::function<void(uint32_t version)> seam);
 /// GEMM per (task, type) sub-group. Because every eval kernel is bitwise
 /// per-sample-stable (tests/batched_eval_test.cc), each response is bitwise
 /// identical to a quiesced single-request eval regardless of how requests
-/// were coalesced — the property tests/serve_test.cc pins per precision
-/// mode. Every response is stamped with the snapshot version that computed
+/// were coalesced — the property tests/serve_test.cc pins at 1 and 4
+/// workers. Every response is stamped with the snapshot version that computed
 /// it; since a batch uses exactly one snapshot, responses can never exhibit
 /// version skew (tests/continual_serve_test.cc pins this against a racing
 /// Publish via the run seam above).

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <vector>
 
+#include "tensor/kernels/matmul_kernel.h"
 #include "util/env.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -16,16 +17,27 @@ namespace {
 
 thread_local bool tl_in_parallel_region = false;
 
-/// Restores the nested-region flag even if a chunk body throws.
+/// Sets the nested-region flag and installs the launcher's batch-invariant
+/// GEMM policy for one chunk; restores both even if the chunk body throws.
+/// The policy is thread-local, so without this a GemmNN inside a chunk would
+/// pick its kernel from the real m on a pool worker but from the nominal m on
+/// the launcher, and a result would depend on which thread ran its chunk.
 class RegionGuard {
  public:
-  RegionGuard() : previous_(tl_in_parallel_region) {
+  explicit RegionGuard(bool batch_invariant_gemm)
+      : previous_(tl_in_parallel_region),
+        previous_invariant_(BatchInvariantGemmEnabled()) {
     tl_in_parallel_region = true;
+    SetBatchInvariantGemm(batch_invariant_gemm);
   }
-  ~RegionGuard() { tl_in_parallel_region = previous_; }
+  ~RegionGuard() {
+    tl_in_parallel_region = previous_;
+    SetBatchInvariantGemm(previous_invariant_);
+  }
 
  private:
   bool previous_;
+  bool previous_invariant_;
 };
 
 /// Spin budget before a waiting worker yields and then parks. On a
@@ -45,6 +57,7 @@ struct RegionState {
   const std::function<void(int64_t, int64_t)>* chunk = nullptr;
   int64_t n = 0;
   int64_t grain = 1;
+  bool batch_invariant_gemm = false;  // the launcher's dispatch policy
   std::mutex error_mutex;
   std::exception_ptr error;  // first failure wins
 };
@@ -56,7 +69,7 @@ struct RegionState {
 /// stop running chunk bodies (it retires any further claims unrun).
 bool RunRegionChunk(void* ctx, int64_t c) {
   RegionState* state = static_cast<RegionState*>(ctx);
-  RegionGuard guard;
+  RegionGuard guard(state->batch_invariant_gemm);
   try {
     const int64_t begin = c * state->grain;
     (*state->chunk)(begin, std::min(state->n, begin + state->grain));
@@ -163,6 +176,7 @@ void ParallelChunks(int64_t n, int64_t grain,
   state.chunk = &chunk;
   state.n = n;
   state.grain = grain;
+  state.batch_invariant_gemm = BatchInvariantGemmEnabled();
 
   // Entering the region is a single epoch publish; every participant
   // (workers + this caller, inside JoinRegion) pulls chunk indices off the

@@ -6,7 +6,6 @@
 // registers: 16 accumulators + 2 B lanes + 1 broadcast of 32 available).
 
 #include "tensor/kernels/matmul_internal.h"
-#include "tensor/kernels/matmul_quant.h"
 #include "util/prefetch.h"
 
 #if defined(__AVX512F__)
@@ -98,174 +97,7 @@ void RowBlockNN512(int64_t n, int64_t k, const float* a, int64_t lda,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Quantized NN tiers (matmul_quant.h). The packed layout is the ISA-agnostic
-// kQuantPanel(16)-wide one, so one panel is a single ZMM here; 8 rows x 16
-// columns keeps 8 accumulators + 1 B lane + 1 broadcast, and the per-lane
-// ascending-k fma chain matches the scalar reference bit for bit. No kKc
-// k-blocking: the int8 scale applies after the full-k sum (see the header).
-// ---------------------------------------------------------------------------
-
-/// Widens 16 bf16 codes to fp32 lanes (exact).
-inline __m512 WidenBf16x16(const uint16_t* p) {
-  const __m256i raw =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  return _mm512_castsi512_ps(
-      _mm512_slli_epi32(_mm512_cvtepu16_epi32(raw), 16));
-}
-
-/// Widens 16 int8 codes to fp32 lanes (exact for |q| <= 127).
-inline __m512 WidenInt8x16(const int8_t* p) {
-  const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  return _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(raw));
-}
-
-template <int MR>
-inline void MicroNNBf16x512(int64_t k, const float* a, int64_t lda,
-                            const uint16_t* pb, float* c, int64_t ldc,
-                            bool load_c) {
-  __m512 acc[MR];
-  for (int r = 0; r < MR; ++r) {
-    acc[r] = load_c ? _mm512_loadu_ps(c + r * ldc) : _mm512_setzero_ps();
-  }
-  for (int64_t l = 0; l < k; ++l) {
-    const __m512 bv = WidenBf16x16(pb + l * kQuantPanel);
-    for (int r = 0; r < MR; ++r) {
-      acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(a[r * lda + l]), bv, acc[r]);
-    }
-  }
-  for (int r = 0; r < MR; ++r) _mm512_storeu_ps(c + r * ldc, acc[r]);
-}
-
-template <int MR>
-inline void MicroNNInt8x512(int64_t k, const float* a, int64_t lda,
-                            const int8_t* pb, const float* scales, float* c,
-                            int64_t ldc, bool accumulate) {
-  __m512 acc[MR];
-  for (int r = 0; r < MR; ++r) acc[r] = _mm512_setzero_ps();
-  for (int64_t l = 0; l < k; ++l) {
-    const __m512 bv = WidenInt8x16(pb + l * kQuantPanel);
-    for (int r = 0; r < MR; ++r) {
-      acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(a[r * lda + l]), bv, acc[r]);
-    }
-  }
-  const __m512 sv = _mm512_loadu_ps(scales);
-  for (int r = 0; r < MR; ++r) {
-    __m512 o = _mm512_mul_ps(acc[r], sv);
-    if (accumulate) o = _mm512_add_ps(_mm512_loadu_ps(c + r * ldc), o);
-    _mm512_storeu_ps(c + r * ldc, o);
-  }
-}
-
-template <int MR>
-void RowBlockNNBf16x512(int64_t n, int64_t k, const float* a, int64_t lda,
-                        const uint16_t* packed_b, float* c, int64_t ldc,
-                        bool accumulate) {
-  const int64_t panels = (n + kQuantPanel - 1) / kQuantPanel;
-  for (int64_t p = 0; p < panels; ++p) {
-    const uint16_t* pb = packed_b + p * k * kQuantPanel;
-    const int64_t j0 = p * kQuantPanel;
-    const int64_t ncols = std::min(kQuantPanel, n - j0);
-    if (ncols == kQuantPanel) {
-      MicroNNBf16x512<MR>(k, a, lda, pb, c + j0, ldc, accumulate);
-    } else {
-      float tmp[8 * kQuantPanel];
-      for (int r = 0; r < MR; ++r) {
-        for (int64_t t = 0; t < kQuantPanel; ++t) {
-          tmp[r * kQuantPanel + t] =
-              (accumulate && t < ncols) ? c[r * ldc + j0 + t] : 0.0f;
-        }
-      }
-      MicroNNBf16x512<MR>(k, a, lda, pb, tmp, kQuantPanel, /*load_c=*/true);
-      for (int r = 0; r < MR; ++r) {
-        for (int64_t t = 0; t < ncols; ++t) {
-          c[r * ldc + j0 + t] = tmp[r * kQuantPanel + t];
-        }
-      }
-    }
-  }
-}
-
-template <int MR>
-void RowBlockNNInt8x512(int64_t n, int64_t k, const float* a, int64_t lda,
-                        const int8_t* packed_b, const float* scales, float* c,
-                        int64_t ldc, bool accumulate) {
-  const int64_t panels = (n + kQuantPanel - 1) / kQuantPanel;
-  for (int64_t p = 0; p < panels; ++p) {
-    const int8_t* pb = packed_b + p * k * kQuantPanel;
-    const int64_t j0 = p * kQuantPanel;
-    const int64_t ncols = std::min(kQuantPanel, n - j0);
-    if (ncols == kQuantPanel) {
-      MicroNNInt8x512<MR>(k, a, lda, pb, scales + j0, c + j0, ldc,
-                          accumulate);
-    } else {
-      float tmp[8 * kQuantPanel];
-      for (int r = 0; r < MR; ++r) {
-        for (int64_t t = 0; t < kQuantPanel; ++t) {
-          tmp[r * kQuantPanel + t] =
-              (accumulate && t < ncols) ? c[r * ldc + j0 + t] : 0.0f;
-        }
-      }
-      MicroNNInt8x512<MR>(k, a, lda, pb, scales + j0, tmp, kQuantPanel,
-                          accumulate);
-      for (int r = 0; r < MR; ++r) {
-        for (int64_t t = 0; t < ncols; ++t) {
-          c[r * ldc + j0 + t] = tmp[r * kQuantPanel + t];
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
-
-bool Avx512GemmNNBf16(int64_t r0, int64_t r1, int64_t n, int64_t k,
-                      const float* a, const uint16_t* packed_b, float* c,
-                      bool accumulate) {
-  constexpr int64_t kMr = 8;
-  int64_t i = r0;
-  for (; i + kMr <= r1; i += kMr) {
-    RowBlockNNBf16x512<8>(n, k, a + i * k, k, packed_b, c + i * n, n,
-                          accumulate);
-  }
-  const float* ar = a + i * k;
-  float* cr = c + i * n;
-  switch (r1 - i) {
-    case 7: RowBlockNNBf16x512<7>(n, k, ar, k, packed_b, cr, n, accumulate); break;
-    case 6: RowBlockNNBf16x512<6>(n, k, ar, k, packed_b, cr, n, accumulate); break;
-    case 5: RowBlockNNBf16x512<5>(n, k, ar, k, packed_b, cr, n, accumulate); break;
-    case 4: RowBlockNNBf16x512<4>(n, k, ar, k, packed_b, cr, n, accumulate); break;
-    case 3: RowBlockNNBf16x512<3>(n, k, ar, k, packed_b, cr, n, accumulate); break;
-    case 2: RowBlockNNBf16x512<2>(n, k, ar, k, packed_b, cr, n, accumulate); break;
-    case 1: RowBlockNNBf16x512<1>(n, k, ar, k, packed_b, cr, n, accumulate); break;
-    default: break;
-  }
-  return true;
-}
-
-bool Avx512GemmNNInt8(int64_t r0, int64_t r1, int64_t n, int64_t k,
-                      const float* a, const int8_t* packed_b,
-                      const float* scales, float* c, bool accumulate) {
-  constexpr int64_t kMr = 8;
-  int64_t i = r0;
-  for (; i + kMr <= r1; i += kMr) {
-    RowBlockNNInt8x512<8>(n, k, a + i * k, k, packed_b, scales, c + i * n, n,
-                          accumulate);
-  }
-  const float* ar = a + i * k;
-  float* cr = c + i * n;
-  switch (r1 - i) {
-    case 7: RowBlockNNInt8x512<7>(n, k, ar, k, packed_b, scales, cr, n, accumulate); break;
-    case 6: RowBlockNNInt8x512<6>(n, k, ar, k, packed_b, scales, cr, n, accumulate); break;
-    case 5: RowBlockNNInt8x512<5>(n, k, ar, k, packed_b, scales, cr, n, accumulate); break;
-    case 4: RowBlockNNInt8x512<4>(n, k, ar, k, packed_b, scales, cr, n, accumulate); break;
-    case 3: RowBlockNNInt8x512<3>(n, k, ar, k, packed_b, scales, cr, n, accumulate); break;
-    case 2: RowBlockNNInt8x512<2>(n, k, ar, k, packed_b, scales, cr, n, accumulate); break;
-    case 1: RowBlockNNInt8x512<1>(n, k, ar, k, packed_b, scales, cr, n, accumulate); break;
-    default: break;
-  }
-  return true;
-}
 
 bool Avx512GemmNNPacked(int64_t r0, int64_t r1, int64_t n, int64_t k,
                         const float* a, const float* packed_b, float* c,
@@ -294,16 +126,6 @@ bool Avx512GemmNNPacked(int64_t r0, int64_t r1, int64_t n, int64_t k,
 
 bool Avx512GemmNNPacked(int64_t, int64_t, int64_t, int64_t, const float*,
                         const float*, float*, bool) {
-  return false;
-}
-
-bool Avx512GemmNNBf16(int64_t, int64_t, int64_t, int64_t, const float*,
-                      const uint16_t*, float*, bool) {
-  return false;
-}
-
-bool Avx512GemmNNInt8(int64_t, int64_t, int64_t, int64_t, const float*,
-                      const int8_t*, const float*, float*, bool) {
   return false;
 }
 

@@ -52,26 +52,6 @@ bool Avx2GemmNT(int64_t r0, int64_t r1, int64_t n, int64_t k, const float* a,
 bool Avx2GemmTN(int64_t r0, int64_t r1, int64_t m, int64_t n, int64_t k,
                 const float* a, const float* b, float* c, bool accumulate);
 
-// Quantized-tier row workers (matmul_quant.h). Both tiers consume the same
-// kQuantPanel-wide packed layout (built once per published weight, so it
-// cannot vary with the host ISA), widen to fp32 in registers and run the
-// exact per-element ascending-k fma chain of the scalar reference — bitwise
-// identical across scalar/AVX2/AVX-512 within each precision mode. The AVX2
-// bodies live in matmul_bf16.cc / matmul_int8.cc (-mavx2 -mfma), the AVX-512
-// ones in matmul_avx512.cc (-mavx512f).
-bool Avx2GemmNNBf16(int64_t r0, int64_t r1, int64_t n, int64_t k,
-                    const float* a, const uint16_t* packed_b, float* c,
-                    bool accumulate);
-bool Avx512GemmNNBf16(int64_t r0, int64_t r1, int64_t n, int64_t k,
-                      const float* a, const uint16_t* packed_b, float* c,
-                      bool accumulate);
-bool Avx2GemmNNInt8(int64_t r0, int64_t r1, int64_t n, int64_t k,
-                    const float* a, const int8_t* packed_b,
-                    const float* scales, float* c, bool accumulate);
-bool Avx512GemmNNInt8(int64_t r0, int64_t r1, int64_t n, int64_t k,
-                      const float* a, const int8_t* packed_b,
-                      const float* scales, float* c, bool accumulate);
-
 }  // namespace internal
 }  // namespace kernels
 }  // namespace cdcl

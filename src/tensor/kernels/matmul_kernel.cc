@@ -54,9 +54,9 @@ std::atomic<int> g_kernel_override{-1};  // -1 = unset (env var / auto)
 std::atomic<int> g_narrow_pack{-1};      // -1 = unresolved (consult env once)
 
 // Batch-invariant dispatch (see header): thread-local because concurrent
-// inference workers must not leak the mode into training threads. Selection
-// happens on the GemmNN caller before the row partition fans out, so pool
-// worker threads never consult the flag.
+// inference workers must not leak the mode into training threads. A parallel
+// region carries its launcher's value into every chunk (kernel_context.cc),
+// so a GemmNN called inside a chunk sees the same policy on any thread.
 thread_local bool t_batch_invariant_gemm = false;
 
 // Nominal row count for batch-invariant auto dispatch: a saturated serving

@@ -61,6 +61,8 @@ bool CpuHasAvx2Fma();
 /// contract above), so pinning the choice is sufficient. The inference
 /// server's engine runs all its evals under this scope; forced kScalar /
 /// kPacked overrides are batch-invariant by construction and are unaffected.
+/// A ParallelChunks region runs every chunk under its launcher's setting,
+/// whichever pool thread picks the chunk up.
 void SetBatchInvariantGemm(bool enabled);
 bool BatchInvariantGemmEnabled();
 

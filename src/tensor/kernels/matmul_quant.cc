@@ -1,19 +1,10 @@
-// Reduced-precision GEMM tier: precision-mode knob, quantize/pack helpers,
-// the scalar reference chains, and the parallel row dispatch into the SIMD
-// TUs (matmul_bf16.cc / matmul_int8.cc / matmul_avx512.cc). See
-// matmul_quant.h for the numerics contract.
+// Storage-precision knob for rehearsal records. See matmul_quant.h.
 
 #include "tensor/kernels/matmul_quant.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cfloat>
-#include <cmath>
 #include <string>
 
-#include "tensor/kernels/kernel_context.h"
-#include "tensor/kernels/matmul_internal.h"
-#include "tensor/kernels/matmul_kernel.h"
 #include "util/env.h"
 
 namespace cdcl {
@@ -29,93 +20,6 @@ GemmPrecision PrecisionFromEnv() {
   return GemmPrecision::kFp32;
 }
 
-/// C rows [0, m) zeroed in the usual row partition (the k <= 0 case; both
-/// quantized tiers produce exactly 0 there).
-void ZeroOutput(int64_t m, int64_t n, float* c) {
-  ParallelChunks(m, kGemmRowGrain, [=](int64_t r0, int64_t r1) {
-    std::memset(c + r0 * n, 0,
-                static_cast<size_t>((r1 - r0) * n) * sizeof(float));
-  });
-}
-
-/// SIMD tier for the packed quantized kernels: 0 scalar, 1 AVX2, 2 AVX-512.
-/// A pure function of (override, ISA) — the tiers are bitwise identical, so
-/// the kScalar pin is observability, not numerics.
-int QuantSimdTier() {
-  if (GetGemmKernel() == GemmKernel::kScalar) return 0;
-  if (internal::Avx512Available()) return 2;
-  if (internal::Avx2Available()) return 1;
-  return 0;
-}
-
-/// Scalar reference rows for packed bf16 NN: the exact fmaf chain the SIMD
-/// bodies run per lane.
-void ScalarRowsNNBf16(int64_t r0, int64_t r1, int64_t n, int64_t k,
-                      const float* a, const uint16_t* packed_b, float* c,
-                      bool accumulate) {
-  for (int64_t i = r0; i < r1; ++i) {
-    const float* ar = a + i * k;
-    float* cr = c + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      const uint16_t* col =
-          packed_b + (j / kQuantPanel) * k * kQuantPanel + j % kQuantPanel;
-      float acc = accumulate ? cr[j] : 0.0f;
-      for (int64_t l = 0; l < k; ++l) {
-        acc = std::fmaf(ar[l], F32FromBf16(col[l * kQuantPanel]), acc);
-      }
-      cr[j] = acc;
-    }
-  }
-}
-
-/// Scalar reference rows for packed int8 NN: full-k fmaf accumulation of the
-/// widened codes, then one scale multiply, then the optional C add.
-void ScalarRowsNNInt8(int64_t r0, int64_t r1, int64_t n, int64_t k,
-                      const float* a, const int8_t* packed_b,
-                      const float* scales, float* c, bool accumulate) {
-  for (int64_t i = r0; i < r1; ++i) {
-    const float* ar = a + i * k;
-    float* cr = c + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      const int8_t* col =
-          packed_b + (j / kQuantPanel) * k * kQuantPanel + j % kQuantPanel;
-      float acc = 0.0f;
-      for (int64_t l = 0; l < k; ++l) {
-        acc = std::fmaf(ar[l], static_cast<float>(col[l * kQuantPanel]), acc);
-      }
-      const float out = acc * scales[j];
-      cr[j] = accumulate ? cr[j] + out : out;
-    }
-  }
-}
-
-/// Quantizes one length-`len` slice of x (element l at x[l * xstride]) with
-/// a symmetric scale; writes codes at q[l * qstride]. See QuantizeInt8Rows.
-void QuantizeInt8Slice(int64_t len, const float* x, int64_t xstride, int8_t* q,
-                       int64_t qstride, float* scale) {
-  float amax = 0.0f;
-  for (int64_t l = 0; l < len; ++l) {
-    amax = std::max(amax, std::fabs(x[l * xstride]));
-  }
-  const float s = amax / 127.0f;
-  // A subnormal (or zero) scale cannot carry the format's 8 bits of signal —
-  // all-zero, denormal and near-denormal slices flush to exact zeros, with
-  // scale 0 so codes and scale agree (the tier's documented denormal-flush).
-  if (!(s >= FLT_MIN)) {
-    for (int64_t l = 0; l < len; ++l) q[l * qstride] = 0;
-    *scale = 0.0f;
-    return;
-  }
-  const double inv = 127.0 / static_cast<double>(amax);
-  for (int64_t l = 0; l < len; ++l) {
-    const long long r =
-        std::llrint(static_cast<double>(x[l * xstride]) * inv);
-    q[l * qstride] = static_cast<int8_t>(
-        std::max(std::min(r, 127LL), -127LL));
-  }
-  *scale = s;
-}
-
 }  // namespace
 
 void SetGemmPrecision(GemmPrecision precision) {
@@ -128,189 +32,6 @@ GemmPrecision GetGemmPrecision() {
   if (o >= 0) return static_cast<GemmPrecision>(o);
   static const GemmPrecision from_env = PrecisionFromEnv();
   return from_env;
-}
-
-void QuantizeInt8Rows(int64_t rows, int64_t len, const float* x, int8_t* q,
-                      float* scales) {
-  for (int64_t r = 0; r < rows; ++r) {
-    QuantizeInt8Slice(len, x + r * len, 1, q + r * len, 1, &scales[r]);
-  }
-}
-
-void QuantizeInt8Cols(int64_t rows, int64_t cols, const float* x, int8_t* q,
-                      float* scales) {
-  for (int64_t j = 0; j < cols; ++j) {
-    QuantizeInt8Slice(rows, x + j, cols, q + j, cols, &scales[j]);
-  }
-}
-
-void PackBf16NN(int64_t k, int64_t n, const float* b, uint16_t* packed) {
-  const int64_t panels = (n + kQuantPanel - 1) / kQuantPanel;
-  for (int64_t p = 0; p < panels; ++p) {
-    const int64_t j0 = p * kQuantPanel;
-    const int64_t ncols = std::min(kQuantPanel, n - j0);
-    uint16_t* dst = packed + p * k * kQuantPanel;
-    for (int64_t l = 0; l < k; ++l) {
-      for (int64_t t = 0; t < ncols; ++t) {
-        dst[l * kQuantPanel + t] = Bf16FromF32(b[l * n + j0 + t]);
-      }
-      for (int64_t t = ncols; t < kQuantPanel; ++t) dst[l * kQuantPanel + t] = 0;
-    }
-  }
-}
-
-void PackInt8NN(int64_t k, int64_t n, const float* b, int8_t* packed,
-                float* scales) {
-  const int64_t panels = (n + kQuantPanel - 1) / kQuantPanel;
-  // Quantize straight into the panel layout: column j of B maps to lane
-  // (j % panel) of panel (j / panel) with row stride kQuantPanel.
-  for (int64_t j = 0; j < n; ++j) {
-    int8_t* lane = packed + (j / kQuantPanel) * k * kQuantPanel + j % kQuantPanel;
-    QuantizeInt8Slice(k, b + j, n, lane, kQuantPanel, &scales[j]);
-  }
-  // Zero the dead lanes of the tail panel (codes and scales), so padded
-  // outputs are exactly 0 and the SIMD tile can run full width.
-  const int64_t padded = panels * kQuantPanel;
-  for (int64_t j = n; j < padded; ++j) {
-    int8_t* lane = packed + (j / kQuantPanel) * k * kQuantPanel + j % kQuantPanel;
-    for (int64_t l = 0; l < k; ++l) lane[l * kQuantPanel] = 0;
-    scales[j] = 0.0f;
-  }
-}
-
-void GemmNNBf16Packed(int64_t m, int64_t n, int64_t k, const float* a,
-                      const uint16_t* packed_b, float* c, bool accumulate) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    if (!accumulate) ZeroOutput(m, n, c);
-    return;
-  }
-  const int tier = QuantSimdTier();
-  ParallelChunks(m, kGemmRowGrain, [=](int64_t r0, int64_t r1) {
-    if (tier == 2 &&
-        internal::Avx512GemmNNBf16(r0, r1, n, k, a, packed_b, c, accumulate)) {
-      return;
-    }
-    if (tier >= 1 &&
-        internal::Avx2GemmNNBf16(r0, r1, n, k, a, packed_b, c, accumulate)) {
-      return;
-    }
-    ScalarRowsNNBf16(r0, r1, n, k, a, packed_b, c, accumulate);
-  });
-}
-
-void GemmNNInt8Packed(int64_t m, int64_t n, int64_t k, const float* a,
-                      const int8_t* packed_b, const float* scales, float* c,
-                      bool accumulate) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    if (!accumulate) ZeroOutput(m, n, c);
-    return;
-  }
-  const int tier = QuantSimdTier();
-  ParallelChunks(m, kGemmRowGrain, [=](int64_t r0, int64_t r1) {
-    if (tier == 2 && internal::Avx512GemmNNInt8(r0, r1, n, k, a, packed_b,
-                                                scales, c, accumulate)) {
-      return;
-    }
-    if (tier >= 1 && internal::Avx2GemmNNInt8(r0, r1, n, k, a, packed_b,
-                                              scales, c, accumulate)) {
-      return;
-    }
-    ScalarRowsNNInt8(r0, r1, n, k, a, packed_b, scales, c, accumulate);
-  });
-}
-
-void GemmNTBf16(int64_t m, int64_t n, int64_t k, const float* a,
-                const uint16_t* b16, float* c, bool accumulate) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    if (!accumulate) ZeroOutput(m, n, c);
-    return;
-  }
-  ParallelChunks(m, kGemmRowGrain, [=](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const float* ar = a + i * k;
-      float* cr = c + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        const uint16_t* br = b16 + j * k;
-        float acc = accumulate ? cr[j] : 0.0f;
-        for (int64_t l = 0; l < k; ++l) {
-          acc = std::fmaf(ar[l], F32FromBf16(br[l]), acc);
-        }
-        cr[j] = acc;
-      }
-    }
-  });
-}
-
-void GemmTNBf16(int64_t m, int64_t n, int64_t k, const float* a,
-                const uint16_t* b16, float* c, bool accumulate) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    if (!accumulate) ZeroOutput(m, n, c);
-    return;
-  }
-  ParallelChunks(m, kGemmRowGrain, [=](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      float* cr = c + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        float acc = accumulate ? cr[j] : 0.0f;
-        for (int64_t l = 0; l < k; ++l) {
-          acc = std::fmaf(a[l * m + i], F32FromBf16(b16[l * n + j]), acc);
-        }
-        cr[j] = acc;
-      }
-    }
-  });
-}
-
-void GemmNTInt8(int64_t m, int64_t n, int64_t k, const float* a,
-                const int8_t* q, const float* scales, float* c,
-                bool accumulate) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    if (!accumulate) ZeroOutput(m, n, c);
-    return;
-  }
-  ParallelChunks(m, kGemmRowGrain, [=](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const float* ar = a + i * k;
-      float* cr = c + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        const int8_t* br = q + j * k;
-        float acc = 0.0f;
-        for (int64_t l = 0; l < k; ++l) {
-          acc = std::fmaf(ar[l], static_cast<float>(br[l]), acc);
-        }
-        const float out = acc * scales[j];
-        cr[j] = accumulate ? cr[j] + out : out;
-      }
-    }
-  });
-}
-
-void GemmTNInt8(int64_t m, int64_t n, int64_t k, const float* a,
-                const int8_t* q, const float* scales, float* c,
-                bool accumulate) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    if (!accumulate) ZeroOutput(m, n, c);
-    return;
-  }
-  ParallelChunks(m, kGemmRowGrain, [=](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      float* cr = c + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        float acc = 0.0f;
-        for (int64_t l = 0; l < k; ++l) {
-          acc = std::fmaf(a[l * m + i], static_cast<float>(q[l * n + j]), acc);
-        }
-        const float out = acc * scales[j];
-        cr[j] = accumulate ? cr[j] + out : out;
-      }
-    }
-  });
 }
 
 }  // namespace kernels

@@ -8,56 +8,28 @@ namespace cdcl {
 namespace kernels {
 
 // ---------------------------------------------------------------------------
-// Reduced-precision GEMM tier: bf16 and int8 weight operands with fp32
-// activations and fp32 accumulation.
+// Storage precision of rehearsal records.
 //
-// This is the first tier that is *not* bitwise against the fp32 kernels — a
-// quantized B simply holds different values — so it ships as an explicit
-// opt-in mode (CDCL_GEMM_PRECISION, default fp32) exactly like CDCL_VEC_MATH
-// introduced the polynomial transcendental mode. Within each precision mode
-// every guarantee of the fp32 tier still holds, because every entry point
-// evaluates the same per-output-element chain on every path:
-//
-//   bf16:  acc = accumulate ? C[i][j] : 0
-//          acc = fma(a[i][l], widen(B16[l][j]), acc)   for l = 0..k-1 ascending
-//          C[i][j] = acc
-//   int8:  acc = fma(a[i][l], (float)Q[l][j], acc)     for l = 0..k-1, from 0
-//          out = acc * scale[j]                         (per output channel)
-//          C[i][j] = accumulate ? C[i][j] + out : out
-//
-// The scalar tail uses std::fmaf and the SIMD bodies use vfmadd on the
-// identical ascending-k order, widen (bf16 -> fp32, int8 -> fp32) is exact,
-// and mul/add are correctly rounded — so each quantized kernel is **bitwise
-// identical across ISA tiers (scalar / AVX2 / AVX-512) and thread counts**
-// within its precision mode (tests/gemm_quant_test.cc pins both). Unlike the
-// fp32 packed path there is no kKc k-blocking: the int8 scale is applied
-// after the full-k accumulation, so C cannot round-trip through memory
-// mid-sum; k stays register-resident (eval weights here have k <= a few
-// hundred, so the A slice never outgrows L1 anyway).
-//
-// CDCL_GEMM_KERNEL composes: `scalar` pins the scalar chain (observability,
-// not numerics — the tiers agree bitwise); auto/packed take the widest ISA.
+// Every GEMM runs in fp32. The precision mode selects only how
+// cl::CompactFloats encodes the logits and features a rehearsal record keeps
+// (and therefore their checkpoint bytes): raw fp32, bf16 codes, or int8
+// codes with one fp32 scale per vector. The mode is read once per Encode and
+// travels with the encoded vector, so records written under different modes
+// coexist and round-trip through a checkpoint code for code.
 // ---------------------------------------------------------------------------
 
-/// GEMM weight precision for inference consumers. kFp32 (the default) leaves
-/// every path byte-for-byte at the fp32 tier; kBf16/kInt8 are opt-in modes
-/// gated by the tolerance harness and the accuracy-delta gate
-/// (tests/gemm_quant_test.cc, tests/quant_eval_test.cc).
+/// Rehearsal-record storage precision. kFp32 (the default) stores raw floats,
+/// byte-identical to a plain std::vector<float>.
 enum class GemmPrecision {
   kFp32 = 0,
-  kBf16 = 1,  // round-to-nearest-even truncation, widened in the kernel
-  kInt8 = 2,  // symmetric per-output-channel scales, fp32 accumulation
+  kBf16 = 1,  // round-to-nearest-even bf16 codes
+  kInt8 = 2,  // symmetric per-vector absmax codes + one fp32 scale
 };
 
 /// Overrides the precision mode. Also settable via CDCL_GEMM_PRECISION
 /// (fp32|bf16|int8); an explicit SetGemmPrecision wins over the env var.
 void SetGemmPrecision(GemmPrecision precision);
 GemmPrecision GetGemmPrecision();
-
-/// Packed-panel width shared by both quantized tiers and every ISA (the
-/// packed layout is built once per published weight, so it must not depend
-/// on the host ISA): 1 ZMM / 2 YMM / a 16-wide scalar strip.
-inline constexpr int64_t kQuantPanel = 16;
 
 /// bf16 <-> fp32 scalar conversion. Encode rounds to nearest-even (the same
 /// value an AVX-512-BF16 vcvtneps2bf16 would produce); decode is exact.
@@ -76,73 +48,6 @@ inline float F32FromBf16(uint16_t h) {
   std::memcpy(&f, &u, sizeof(f));
   return f;
 }
-
-// -- Quantization helpers ----------------------------------------------------
-
-/// One scale per length-`len` row of x(rows, len): scale = amax / 127, q =
-/// clamp(round(x * 127 / amax), -127, 127). A row whose fp32 scale would be
-/// subnormal or zero (amax < ~127 * FLT_MIN, including all-denormal rows)
-/// stores q = 0 everywhere with scale 0 — the documented denormal-flush of
-/// this tier.
-void QuantizeInt8Rows(int64_t rows, int64_t len, const float* x, int8_t* q,
-                      float* scales);
-
-/// One scale per column of x(rows, cols), same scheme (the NN/TN per-output-
-/// channel layout; q keeps x's row-major layout).
-void QuantizeInt8Cols(int64_t rows, int64_t cols, const float* x, int8_t* q,
-                      float* scales);
-
-// -- Packed NN (the eval weight shape) ---------------------------------------
-// B(k,n) is packed once into zero-padded kQuantPanel-wide k-major panels —
-// the same layout the fp32 packed path builds per call (matmul_internal.h),
-// minus the per-call cost:
-//   packed[(p * k + l) * kQuantPanel + t] == B16/Q[l][p * kQuantPanel + t]
-// For int8, `scales` holds ceil(n/kQuantPanel)*kQuantPanel entries, the tail
-// padded with zeros (padded lanes then decode to exactly 0).
-
-/// Packs B(k,n) fp32 into bf16 panels; `packed` holds
-/// ceil(n/kQuantPanel) * k * kQuantPanel entries.
-void PackBf16NN(int64_t k, int64_t n, const float* b, uint16_t* packed);
-
-/// Quantizes and packs B(k,n) with per-column scales; `packed` sized as
-/// above, `scales` padded to the panel multiple.
-void PackInt8NN(int64_t k, int64_t n, const float* b, int8_t* packed,
-                float* scales);
-
-/// C(m,n) (+)= A(m,k) * widen(B16), B16 packed by PackBf16NN.
-void GemmNNBf16Packed(int64_t m, int64_t n, int64_t k, const float* a,
-                      const uint16_t* packed_b, float* c, bool accumulate);
-
-/// C(m,n) (+)= (A(m,k) * widen(Q)) . scale, Q/scales from PackInt8NN.
-void GemmNNInt8Packed(int64_t m, int64_t n, int64_t k, const float* a,
-                      const int8_t* packed_b, const float* scales, float* c,
-                      bool accumulate);
-
-// -- Unpacked NT / TN --------------------------------------------------------
-// Row-major quantized operands for the transposed shapes, provided for API
-// symmetry and harness coverage; only NN carries SIMD bodies because it is
-// the only weight-consuming eval form (NT/TN appear in backward passes and
-// the attention score product, which stay fp32 by design). These run the
-// scalar fmaf chain, row-partitioned — bitwise across threads and trivially
-// across ISA tiers.
-
-/// C[i][j] (+)= dot(A row i, widen(B16 row j)); B16 is (n,k) bf16 row-major.
-void GemmNTBf16(int64_t m, int64_t n, int64_t k, const float* a,
-                const uint16_t* b16, float* c, bool accumulate);
-
-/// C[i][j] (+)= sum_l A[l][i] * widen(B16[l][j]); B16 is (k,n) bf16.
-void GemmTNBf16(int64_t m, int64_t n, int64_t k, const float* a,
-                const uint16_t* b16, float* c, bool accumulate);
-
-/// NT with Q(n,k) int8 and one scale per B row j (the output channel).
-void GemmNTInt8(int64_t m, int64_t n, int64_t k, const float* a,
-                const int8_t* q, const float* scales, float* c,
-                bool accumulate);
-
-/// TN with Q(k,n) int8 and one scale per column j (the output channel).
-void GemmTNInt8(int64_t m, int64_t n, int64_t k, const float* a,
-                const int8_t* q, const float* scales, float* c,
-                bool accumulate);
 
 }  // namespace kernels
 }  // namespace cdcl

@@ -117,6 +117,7 @@ class ByteReader {
   }
   bool GetBytes(void* out, size_t n) {
     if (remaining() < n) return false;
+    if (n == 0) return true;  // `out` may be an empty vector's null data()
     std::memcpy(out, p_, n);
     p_ += n;
     return true;
@@ -130,7 +131,7 @@ class ByteReader {
   }
   bool GetFloats(std::vector<float>* v) {
     uint64_t n;
-    if (!GetU64(&n) || remaining() < n * sizeof(float)) return false;
+    if (!GetU64(&n) || n > remaining() / sizeof(float)) return false;
     v->resize(static_cast<size_t>(n));
     for (size_t i = 0; i < n; ++i) {
       if (!GetF32(&(*v)[i])) return false;

@@ -27,6 +27,7 @@
 #include "data/task_stream.h"
 #include "gtest/gtest.h"
 #include "models/compact_transformer.h"
+#include "tensor/kernels/matmul_quant.h"
 #include "util/fault.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -124,7 +125,9 @@ std::vector<uint8_t> ReadAll(const std::string& path) {
 void WriteAll(const std::string& path, const std::vector<uint8_t>& bytes) {
   FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  if (!bytes.empty()) {  // an empty vector's data() may be null
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   std::fclose(f);
 }
 
@@ -168,6 +171,20 @@ TEST(CkptIoTest, SectionsRoundTripAndRejectCorruption) {
   padded.push_back(0);
   std::vector<ckpt::Section> out;
   EXPECT_FALSE(ckpt::DecodeSections(padded, &out).ok());
+}
+
+// A count field larger than the bytes behind it must be rejected before
+// anything is sized from it: an IoError, never std::bad_alloc.
+TEST(CkptIoTest, HugeSectionCountIsRejectedNotAllocated) {
+  std::vector<ckpt::Section> sections(1);
+  sections[0].tag = 7;
+  sections[0].payload = {1, 2, 3};
+  std::vector<uint8_t> bytes = ckpt::EncodeSections(sections);
+  for (size_t i = 8; i < 12; ++i) bytes[i] = 0xFF;  // u32 count after magic
+  std::vector<ckpt::Section> out;
+  Status st;
+  EXPECT_NO_THROW(st = ckpt::DecodeSections(bytes, &out));
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
 }
 
 TEST(CkptIoTest, GenerationNamesAndListing) {
@@ -450,6 +467,107 @@ TEST(CheckpointFaultTest, InjectedErrnoFailsCleanlyAndNextSaveSucceeds) {
   std::vector<uint64_t> gens;
   ASSERT_TRUE(ckpt::ListGenerations(dir.path(), &gens).ok());
   ASSERT_EQ(gens.size(), 1u);
+}
+
+// Rehearsal records stored as bf16 or int8 codes survive save + restore code
+// for code: re-saving the restored trainer reproduces the file byte for byte,
+// whatever storage mode is active at restore time.
+TEST(CheckpointTest, CompactRecordsRoundTripByteForByte) {
+  for (kernels::GemmPrecision mode :
+       {kernels::GemmPrecision::kBf16, kernels::GemmPrecision::kInt8}) {
+    auto stream = TinyDigitsStream(1);
+    core::CdclTrainer trainer(TinyCdclOptions());
+    kernels::SetGemmPrecision(mode);
+    const Status observed = trainer.ObserveTask(stream.task(0));
+    kernels::SetGemmPrecision(kernels::GemmPrecision::kFp32);
+    ASSERT_TRUE(observed.ok()) << observed.ToString();
+    ASSERT_GT(trainer.memory().size(), 0);
+    ASSERT_EQ(trainer.memory().records()[0].source_logits.mode(), mode);
+
+    TempDir first, second;
+    const Result<CheckpointInfo> saved = SaveTrainer(first.path(), trainer, 1);
+    ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+    core::CdclTrainer restored(TinyCdclOptions());
+    ASSERT_TRUE(RestoreTrainer(first.path(), &restored).ok());
+    EXPECT_EQ(restored.memory().records()[0].source_logits.mode(), mode);
+    const Result<CheckpointInfo> resaved =
+        SaveTrainer(second.path(), restored, 1);
+    ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
+    EXPECT_EQ(ReadAll(resaved->path), ReadAll(saved->path))
+        << static_cast<int>(mode);
+  }
+}
+
+// Offset of the first record's source_logits element count inside a memory
+// section payload (see the kMemory layout in checkpoint.cc).
+size_t FirstLogitCountOffset(const std::vector<uint8_t>& payload) {
+  ByteReader r(payload);
+  int64_t i64 = 0;
+  uint64_t u64 = 0;
+  uint8_t u8 = 0;
+  std::vector<float> floats;
+  r.GetI64(&i64);  // num_tasks
+  r.GetU64(&u64);  // record count
+  for (int image = 0; image < 2; ++image) {
+    r.GetU8(&u8);
+    for (uint8_t d = 0; d < u8; ++d) r.GetI64(&i64);
+    r.GetFloats(&floats);
+  }
+  for (int field = 0; field < 3; ++field) r.GetI64(&i64);  // labels, task id
+  r.GetU8(&u8);  // CompactFloats mode
+  return payload.size() - r.remaining();
+}
+
+// Every count field the parser sizes a vector from, forged to the maximum
+// value inside an otherwise CRC-valid section: restore must reject the
+// generation with an IoError instead of attempting the allocation.
+TEST(CheckpointCorruptionTest, ForgedCountsInValidSectionsAreRejected) {
+  auto stream = TinyDigitsStream(1);
+  core::CdclTrainer trainer(TinyCdclOptions());
+  ASSERT_TRUE(trainer.ObserveTask(stream.task(0)).ok());
+  ASSERT_GT(trainer.memory().size(), 0);
+  TempDir dir;
+  const Result<CheckpointInfo> saved = SaveTrainer(dir.path(), trainer, 1);
+  ASSERT_TRUE(saved.ok());
+  std::vector<ckpt::Section> good;
+  ASSERT_TRUE(ckpt::DecodeSections(ReadAll(saved->path), &good).ok());
+
+  struct Forgery {
+    const char* name;
+    uint32_t tag;
+    size_t offset;  // first byte overwritten with 0xFF
+    size_t width;
+  };
+  std::vector<uint8_t> memory_payload;
+  for (const ckpt::Section& section : good) {
+    if (section.tag == ckpt::kMemory) memory_payload = section.payload;
+  }
+  const Forgery forgeries[] = {
+      // tasks_seen and the class-count length must agree, so forge both.
+      {"meta class counts", ckpt::kMeta, 12, 16},
+      {"model parameters", ckpt::kModel, 0, 8},
+      {"optimizer states", ckpt::kOptim, 0, 8},
+      {"memory records", ckpt::kMemory, 8, 8},
+      {"record logits", ckpt::kMemory, FirstLogitCountOffset(memory_payload),
+       8},
+  };
+  for (const Forgery& forgery : forgeries) {
+    std::vector<ckpt::Section> sections = good;
+    for (ckpt::Section& section : sections) {
+      if (section.tag != forgery.tag) continue;
+      ASSERT_LE(forgery.offset + forgery.width, section.payload.size());
+      for (size_t i = 0; i < forgery.width; ++i) {
+        section.payload[forgery.offset + i] = 0xFF;
+      }
+    }
+    WriteAll(saved->path, ckpt::EncodeSections(sections));
+    core::CdclTrainer restored(TinyCdclOptions());
+    Result<CheckpointInfo> info = Status::Internal("not run");
+    EXPECT_NO_THROW(info = RestoreTrainer(dir.path(), &restored))
+        << forgery.name;
+    ASSERT_FALSE(info.ok()) << forgery.name;
+    EXPECT_EQ(info.status().code(), StatusCode::kIoError) << forgery.name;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "cl/memory.h"
 #include "cl/metrics.h"
 #include "gtest/gtest.h"
+#include "tensor/kernels/matmul_quant.h"
 
 namespace cdcl {
 namespace cl {
@@ -180,6 +184,65 @@ INSTANTIATE_TEST_SUITE_P(
     CapacityTasks, MemoryQuotaSweep,
     ::testing::Combine(::testing::Values(5, 16, 100),
                        ::testing::Values(1, 3, 7)));
+
+using kernels::GemmPrecision;
+
+/// Sets the storage precision for one test and restores fp32 on exit.
+class PrecisionScope {
+ public:
+  explicit PrecisionScope(GemmPrecision p) { kernels::SetGemmPrecision(p); }
+  ~PrecisionScope() { kernels::SetGemmPrecision(GemmPrecision::kFp32); }
+};
+
+TEST(CompactFloatsTest, Fp32ModeRoundTripsExactly) {
+  PrecisionScope scope(GemmPrecision::kFp32);
+  const std::vector<float> x = {0.0f, -1.5f, 3.25e-12f, 7.75e20f, -0.125f};
+  CompactFloats c = CompactFloats::Encode(x);
+  ASSERT_EQ(c.size(), x.size());
+  for (size_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(c[i], x[i]) << i;  // bitwise: fp32 mode stores raw floats
+  }
+  EXPECT_EQ(c.Decode(), x);
+  EXPECT_EQ(c.ByteSize(), x.size() * sizeof(float));
+}
+
+TEST(CompactFloatsTest, QuantizedModesRoundTripWithinEnvelopeAndShrink) {
+  Rng rng(33);
+  std::vector<float> x(256);
+  for (float& v : x) v = static_cast<float>(rng.Gaussian(0.0, 2.0));
+  float amax = 0.0f;
+  for (float v : x) amax = std::max(amax, std::fabs(v));
+  {
+    PrecisionScope scope(GemmPrecision::kBf16);
+    CompactFloats c = CompactFloats::Encode(x);
+    ASSERT_EQ(c.size(), x.size());
+    for (size_t i = 0; i < x.size(); ++i) {
+      ASSERT_NEAR(c[i], x[i], std::fabs(x[i]) / 128.0f + 1e-30f) << i;
+    }
+    EXPECT_EQ(c.ByteSize(), x.size() * sizeof(uint16_t));
+  }
+  {
+    PrecisionScope scope(GemmPrecision::kInt8);
+    CompactFloats c = CompactFloats::Encode(x);
+    ASSERT_EQ(c.size(), x.size());
+    for (size_t i = 0; i < x.size(); ++i) {
+      ASSERT_NEAR(c[i], x[i], amax / 254.0f + 1e-30f) << i;
+    }
+    EXPECT_EQ(c.ByteSize(), x.size() * sizeof(int8_t) + sizeof(float));
+  }
+}
+
+TEST(CompactFloatsTest, Int8DenormalVectorFlushesToZero) {
+  PrecisionScope scope(GemmPrecision::kInt8);
+  const std::vector<float> x(16, 1e-40f);  // all-denormal
+  CompactFloats c = CompactFloats::Encode(x);
+  for (size_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(c[i], 0.0f) << i;
+  }
+  CompactFloats empty = CompactFloats::Encode({});
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.ByteSize(), sizeof(float));  // just the scale slot
+}
 
 }  // namespace
 }  // namespace cl

@@ -1,10 +1,10 @@
 // Serving-layer suite: protocol framing (round-trips, split/coalesced reads,
 // oversized/malformed rejection), the micro-batcher's dispatch policy, and
 // end-to-end server contracts — every response bitwise identical to a
-// quiesced single-thread fused eval in every CDCL_GEMM_PRECISION mode across
-// worker counts, plus the event-loop trap pins (SIGPIPE, partial writes,
-// half-close, EINTR storms, oversized-frame isolation) and a pipelined
-// multi-connection soak (CDCL_SOAK_REQS scales it up).
+// quiesced single-thread fused eval across worker counts, plus the
+// event-loop trap pins (SIGPIPE, partial writes, half-close, EINTR storms,
+// oversized-frame isolation) and a pipelined multi-connection soak
+// (CDCL_SOAK_REQS scales it up).
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -31,7 +31,6 @@
 #include "serve/server.h"
 #include "tensor/kernels/kernel_context.h"
 #include "tensor/kernels/matmul_kernel.h"
-#include "tensor/kernels/matmul_quant.h"
 #include "tensor/tensor.h"
 #include "util/env.h"
 #include "util/rng.h"
@@ -39,7 +38,6 @@
 namespace cdcl {
 namespace {
 
-using kernels::GemmPrecision;
 using serve::Buffer;
 using serve::FrameParser;
 using serve::MessageType;
@@ -431,13 +429,6 @@ TEST(MicroBatcherTest, StopDrainsQueuedRequests) {
 // ---------------------------------------------------------------------------
 // End-to-end server
 // ---------------------------------------------------------------------------
-
-/// Restores fp32 GEMM precision on scope exit.
-class PrecisionScope {
- public:
-  explicit PrecisionScope(GemmPrecision p) { kernels::SetGemmPrecision(p); }
-  ~PrecisionScope() { kernels::SetGemmPrecision(GemmPrecision::kFp32); }
-};
 
 class ServeTest : public ::testing::Test {
  protected:
@@ -871,58 +862,52 @@ TEST_F(ServeTest, EintrStormDoesNotCorruptStream) {
   signal(SIGUSR1, SIG_DFL);
 }
 
-// The acceptance contract of the tentpole: across precision modes and worker
-// counts, server-side micro-batched responses are bitwise identical to the
-// quiesced single-thread fused eval. Kernels are thread-count invariant and
-// batched eval is per-sample bitwise stable, so micro-batch composition must
-// never leak into results.
-TEST_F(ServeTest, BatchedResponsesBitwiseMatchSequentialEvalPerPrecision) {
-  for (GemmPrecision precision :
-       {GemmPrecision::kFp32, GemmPrecision::kBf16, GemmPrecision::kInt8}) {
-    PrecisionScope scope(precision);
-    for (int64_t workers : {1, 4}) {
-      serve::InferenceServer::Options options;
-      options.workers = workers;
-      options.max_batch = 16;
-      options.deadline_us = 1000;
-      StartServer(options);
+// Across worker counts, server-side micro-batched responses are bitwise
+// identical to the quiesced single-thread fused eval. Kernels are thread-count
+// invariant and batched eval is per-sample bitwise stable, so micro-batch
+// composition must never leak into results.
+TEST_F(ServeTest, BatchedResponsesBitwiseMatchSequentialEval) {
+  for (int64_t workers : {1, 4}) {
+    serve::InferenceServer::Options options;
+    options.workers = workers;
+    options.max_batch = 16;
+    options.deadline_us = 1000;
+    StartServer(options);
 
-      // Quiesced references first (also warms the quantized-weight cache
-      // from this thread; workers later race their own rebuilds).
-      constexpr uint32_t kCount = 30;
-      std::map<uint32_t, Request> sent;
-      std::map<uint32_t, std::vector<float>> expected;
-      for (uint32_t id = 1; id <= kCount; ++id) {
-        const MessageType type = static_cast<MessageType>(1 + (id % 3));
-        Request request =
-            MakeRequest(type, id, id % model_->num_tasks(), 1000 + id);
-        expected.emplace(id, Reference(request));
-        sent.emplace(id, std::move(request));
-      }
-
-      serve::Client a, b;
-      ASSERT_TRUE(a.Connect(server_->port()));
-      ASSERT_TRUE(b.Connect(server_->port()));
-      for (const auto& [id, request] : sent) {
-        ASSERT_TRUE((id % 2 == 0 ? a : b).Send(request));
-      }
-      const size_t remaining_a = sent.size() / 2;
-      const size_t remaining_b = sent.size() - remaining_a;
-      for (serve::Client* client : {&a, &b}) {
-        const size_t want = client == &a ? remaining_a : remaining_b;
-        for (size_t i = 0; i < want; ++i) {
-          Response response;
-          ASSERT_TRUE(client->Receive(&response));
-          ASSERT_EQ(response.status, ResponseStatus::kOk);
-          ExpectBitwiseEqual(response.values, expected.at(response.request_id),
-                             "precision/worker sweep");
-        }
-      }
-      const MicroBatcher::Stats stats = server_->batcher_stats();
-      EXPECT_GT(stats.max_batch_seen, 1)
-          << "load should have exercised real micro-batches";
-      server_.reset();
+    // Quiesced references first.
+    constexpr uint32_t kCount = 30;
+    std::map<uint32_t, Request> sent;
+    std::map<uint32_t, std::vector<float>> expected;
+    for (uint32_t id = 1; id <= kCount; ++id) {
+      const MessageType type = static_cast<MessageType>(1 + (id % 3));
+      Request request =
+          MakeRequest(type, id, id % model_->num_tasks(), 1000 + id);
+      expected.emplace(id, Reference(request));
+      sent.emplace(id, std::move(request));
     }
+
+    serve::Client a, b;
+    ASSERT_TRUE(a.Connect(server_->port()));
+    ASSERT_TRUE(b.Connect(server_->port()));
+    for (const auto& [id, request] : sent) {
+      ASSERT_TRUE((id % 2 == 0 ? a : b).Send(request));
+    }
+    const size_t remaining_a = sent.size() / 2;
+    const size_t remaining_b = sent.size() - remaining_a;
+    for (serve::Client* client : {&a, &b}) {
+      const size_t want = client == &a ? remaining_a : remaining_b;
+      for (size_t i = 0; i < want; ++i) {
+        Response response;
+        ASSERT_TRUE(client->Receive(&response));
+        ASSERT_EQ(response.status, ResponseStatus::kOk);
+        ExpectBitwiseEqual(response.values, expected.at(response.request_id),
+                           "worker sweep");
+      }
+    }
+    const MicroBatcher::Stats stats = server_->batcher_stats();
+    EXPECT_GT(stats.max_batch_seen, 1)
+        << "load should have exercised real micro-batches";
+    server_.reset();
   }
 }
 

@@ -5,6 +5,7 @@
 #include "gtest/gtest.h"
 #include "util/env.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
@@ -250,6 +251,20 @@ TEST(TablePrinterTest, CsvRoundTrip) {
   TablePrinter t({"a", "b"});
   t.AddRow({"1", "2"});
   EXPECT_EQ(t.ToCsv(), "a,b\n1,2\n");
+}
+
+// A float count whose byte size wraps past 2^64 must still be bounded by the
+// bytes remaining: 2^62 + 1 floats "need" 4 bytes after the multiply wraps.
+TEST(ByteReaderTest, FloatCountIsBoundedWithoutOverflow) {
+  ByteWriter w;
+  w.PutU64((uint64_t{1} << 62) + 1);
+  w.PutF32(1.0f);
+  ByteReader r(w.bytes());
+  std::vector<float> values;
+  bool ok = true;
+  EXPECT_NO_THROW(ok = r.GetFloats(&values));
+  EXPECT_FALSE(ok);
+  EXPECT_TRUE(values.empty());
 }
 
 }  // namespace

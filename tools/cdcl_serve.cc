@@ -10,8 +10,7 @@
 // CDCL_SERVE_QUEUE_MAX (backpressure bound), CDCL_SERVE_IDLE_TIMEOUT_MS
 // (idle-connection reaping, 0 = off), CDCL_FAULT (deterministic fault
 // injection, docs/robustness.md), CDCL_EVAL_BATCH (micro-batch ceiling),
-// CDCL_GEMM_PRECISION (weight tier), CDCL_TASKS / CDCL_EMBED_DIM /
-// CDCL_LAYERS (model shape).
+// CDCL_TASKS / CDCL_EMBED_DIM / CDCL_LAYERS (model shape).
 
 #include <csignal>
 #include <memory>
