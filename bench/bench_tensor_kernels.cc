@@ -15,13 +15,9 @@
 //   CDCL_BENCH_ATTN   batched-attention batch size (default 128)
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -38,10 +34,8 @@
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 #include "util/env.h"
-#include "util/pipeline.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
@@ -108,8 +102,6 @@ struct Headlines {
   double vec_exp_1t = 0.0;
   double vec_tanh_1t = 0.0;
   double layernorm_fused_1t = 0.0;
-  double dispatch_overhead_old_vs_new = 0.0;
-  double train_step_pipelined_8t = 0.0;
 };
 
 void WriteJson(const std::string& path, const std::vector<BenchRow>& rows,
@@ -128,13 +120,10 @@ void WriteJson(const std::string& path, const std::vector<BenchRow>& rows,
                "  \"vec_exp_1t\": %.3f,\n"
                "  \"vec_tanh_1t\": %.3f,\n"
                "  \"layernorm_fused_1t\": %.3f,\n"
-               "  \"dispatch_overhead_old_vs_new\": %.3f,\n"
-               "  \"train_step_pipelined_8t\": %.3f,\n"
                "  \"results\": [\n",
                h.packed_vs_blocked_1t, h.batched_attention_8t,
                h.train_step_fused_arena_1t, h.train_step_fused_arena_8t,
-               h.vec_exp_1t, h.vec_tanh_1t, h.layernorm_fused_1t,
-               h.dispatch_overhead_old_vs_new, h.train_step_pipelined_8t);
+               h.vec_exp_1t, h.vec_tanh_1t, h.layernorm_fused_1t);
   for (size_t i = 0; i < rows.size(); ++i) {
     const BenchRow& r = rows[i];
     std::fprintf(f, "    {\"op\": \"%s\", \"size\": \"%s\", \"serial_ms\": %.3f, ",
@@ -411,9 +400,9 @@ int main() {
       labels[static_cast<size_t>(i)] = i % classes;
     }
     Arena arena;
-    auto step_on = [&](const Tensor& bxs, const Tensor& bxt) {
+    auto step = [&] {
       ArenaScope scope(&arena);  // no-op while the arena toggle is off
-      auto enc = model.EncodeCross(bxs, bxt, 0);
+      auto enc = model.EncodeCross(xs, xt, 0);
       Tensor loss = ops::CrossEntropy(model.CilLogits(enc.z_source), labels);
       loss = ops::Add(loss, ops::CrossEntropy(model.CilLogits(enc.z_target),
                                               labels));
@@ -423,7 +412,6 @@ int main() {
       opt.Step();
       opt.ZeroGrad();
     };
-    auto step = [&] { step_on(xs, xt); };
     const std::string size = StrFormat("b%lld n16 d24 l2 x2streams",
                                        static_cast<long long>(tb));
     std::vector<int64_t> step_threads = thread_counts;
@@ -474,74 +462,6 @@ int main() {
     rows.push_back(op_row);
     rows.push_back(fused_row);
 
-    // --- Pipelined step: batch gather overlapping the optimizer step --------
-    // The CDCL_ASYNC_PIPELINE shape through the trainer loops: prepare
-    // assembles batch k+1's source/target tensors from a sample pool by row
-    // gather (the StackRecords/IndexRows access pattern) on the pipeline
-    // thread, while the fused train step runs on batch k. The sync row is
-    // the identical loop with the prepare deferred to Await — the
-    // pre-pipeline execution order — so the ratio isolates the overlap win.
-    {
-      const int64_t pool_n = 256, per = 3 * 16 * 16;
-      Rng prng(21);
-      Tensor xs_pool = Tensor::Randn(Shape{pool_n, 3, 16, 16}, &prng);
-      Tensor xt_pool = Tensor::Randn(Shape{pool_n, 3, 16, 16}, &prng);
-      Tensor slot_xs[2] = {Tensor(Shape{tb, 3, 16, 16}),
-                           Tensor(Shape{tb, 3, 16, 16})};
-      Tensor slot_xt[2] = {Tensor(Shape{tb, 3, 16, 16}),
-                           Tensor(Shape{tb, 3, 16, 16})};
-      auto gather = [&](int64_t step_index, int slot) {
-        for (int64_t j = 0; j < tb; ++j) {
-          const int64_t src = (step_index * 17 + j * 5) % pool_n;
-          std::memcpy(slot_xs[slot].data() + j * per,
-                      xs_pool.data() + src * per,
-                      static_cast<size_t>(per) * sizeof(float));
-          std::memcpy(slot_xt[slot].data() + j * per,
-                      xt_pool.data() + src * per,
-                      static_cast<size_t>(per) * sizeof(float));
-        }
-      };
-      constexpr int64_t kPipeSteps = 4;
-      auto run_steps = [&](bool async) {
-        StepPipeline pipe(async);
-        int cur = 0;
-        pipe.Submit([&gather, cur] { gather(0, cur); });
-        for (int64_t s = 0; s < kPipeSteps; ++s) {
-          pipe.Await();
-          const int next = 1 - cur;
-          if (s + 1 < kPipeSteps) {
-            pipe.Submit([&gather, s, next] { gather(s + 1, next); });
-          }
-          step_on(slot_xs[cur], slot_xt[cur]);
-          cur = next;
-        }
-      };
-      fused_config();
-      BenchRow sync_row, async_row;
-      sync_row.op = "train_step_pipeline_sync";
-      async_row.op = "train_step_pipelined";
-      sync_row.size = async_row.size = size;
-      for (int64_t t : step_threads) {
-        kernels::SetNumThreads(t);
-        run_steps(false);  // warm-up
-        double best_sync = 0.0, best_async = 0.0;
-        for (int64_t r = 0; r < reps; ++r) {
-          Stopwatch sync_timer;
-          run_steps(false);
-          const double sync_ms = sync_timer.ElapsedMillis() / kPipeSteps;
-          if (r == 0 || sync_ms < best_sync) best_sync = sync_ms;
-          Stopwatch async_timer;
-          run_steps(true);
-          const double async_ms = async_timer.ElapsedMillis() / kPipeSteps;
-          if (r == 0 || async_ms < best_async) best_async = async_ms;
-        }
-        sync_row.per_thread_ms.emplace_back(t, best_sync);
-        async_row.per_thread_ms.emplace_back(t, best_async);
-        if (t == 1) sync_row.serial_ms = async_row.serial_ms = best_sync;
-      }
-      rows.push_back(sync_row);
-      rows.push_back(async_row);
-    }
   }
 
   // --- Elementwise: suffix-broadcast add ------------------------------------
@@ -595,65 +515,29 @@ int main() {
     rows.push_back(row);
   }
 
-  // --- Scheduler dispatch overhead: empty region, old vs new ----------------
+  // --- Scheduler dispatch overhead: empty region ---------------------------
   // Per-region fork/join latency with a no-op body at a 4-participant team —
-  // pure scheduling cost, the term that dominated the d=24 shapes. The old
-  // column replays the seed's protocol verbatim (one ThreadPool::Submit per
-  // helper — queue mutex + condvar each — and a condvar join); the new
-  // column is kernels::ParallelChunks over the persistent RegionPool team
-  // (one epoch publish, shared chunk counter, arrival-counter join). Both
-  // values are nanoseconds per region; the speedup column is the headline
-  // old/new improvement.
-  double dispatch_old_vs_new = 0.0;
+  // pure scheduling cost, the term that dominates the d=24 shapes:
+  // kernels::ParallelChunks over the persistent RegionPool team (one epoch
+  // publish, shared chunk counter, completion join). The value is
+  // nanoseconds per region, in the 4-thread column; the row has no serial
+  // counterpart.
   {
     const int64_t team = 4;
     constexpr int64_t kRegions = 2000;
-    ThreadPool old_pool(static_cast<size_t>(team - 1));
-    auto old_region = [&old_pool, team] {
-      struct CallState {
-        std::atomic<int64_t> next{0};
-        std::mutex mutex;
-        std::condition_variable done;
-        int64_t pending = 0;
-      };
-      CallState state;
-      state.pending = team - 1;
-      auto drain = [&state, team] {
-        for (;;) {
-          const int64_t c = state.next.fetch_add(1, std::memory_order_relaxed);
-          if (c >= team) break;
-        }
-      };
-      for (int64_t h = 0; h < team - 1; ++h) {
-        old_pool.Submit([&state, &drain] {
-          drain();
-          std::lock_guard<std::mutex> lock(state.mutex);
-          if (--state.pending == 0) state.done.notify_all();
-        });
-      }
-      drain();
-      std::unique_lock<std::mutex> lock(state.mutex);
-      state.done.wait(lock, [&state] { return state.pending == 0; });
-    };
     kernels::SetNumThreads(team);
-    auto new_region = [team] {
+    auto region = [team] {
       kernels::ParallelChunks(team, 1, [](int64_t, int64_t) {});
     };
-    old_region();  // warm-up both teams
-    new_region();
-    const double old_ns =
-        TimeMs(reps, [&] { for (int64_t r = 0; r < kRegions; ++r) old_region(); }) *
+    region();  // warm-up the team
+    const double ns =
+        TimeMs(reps, [&] { for (int64_t r = 0; r < kRegions; ++r) region(); }) *
         1.0e6 / kRegions;
-    const double new_ns =
-        TimeMs(reps, [&] { for (int64_t r = 0; r < kRegions; ++r) new_region(); }) *
-        1.0e6 / kRegions;
-    if (new_ns > 0.0) dispatch_old_vs_new = old_ns / new_ns;
     BenchRow row;
     row.op = "dispatch_overhead_ns";
     row.size = StrFormat("team %lld, empty region",
                          static_cast<long long>(team));
-    row.serial_ms = old_ns;  // ns per region, old scheduler
-    row.per_thread_ms.emplace_back(team, new_ns);  // ns per region, new
+    row.per_thread_ms.emplace_back(team, ns);  // ns per region
     rows.push_back(row);
   }
   kernels::SetNumThreads(0);
@@ -734,23 +618,6 @@ int main() {
       "layernorm vectorized vs legacy rows: %.2fx\n",
       vec_exp_1t, vec_tanh_1t, layernorm_fused_1t);
 
-  // Headline numbers for the persistent scheduler and the async pipeline:
-  // empty-region dispatch latency old/new, and the pipelined step vs its
-  // deferred-sync twin at 8 threads.
-  double train_step_pipelined_8t = 0.0;
-  {
-    double sync8 = 0.0, async8 = 0.0;
-    for (const BenchRow& r : rows) {
-      if (r.op == "train_step_pipeline_sync") sync8 = r.ThreadMs(8);
-      if (r.op == "train_step_pipelined") async8 = r.ThreadMs(8);
-    }
-    if (sync8 > 0.0 && async8 > 0.0) train_step_pipelined_8t = sync8 / async8;
-    std::printf(
-        "empty-region dispatch old vs new scheduler: %.2fx; pipelined vs "
-        "sync train step (8 threads): %.2fx\n",
-        dispatch_old_vs_new, train_step_pipelined_8t);
-  }
-
   Headlines headlines;
   headlines.packed_vs_blocked_1t = packed_vs_blocked;
   headlines.batched_attention_8t = batched_attention_8t;
@@ -759,8 +626,6 @@ int main() {
   headlines.vec_exp_1t = vec_exp_1t;
   headlines.vec_tanh_1t = vec_tanh_1t;
   headlines.layernorm_fused_1t = layernorm_fused_1t;
-  headlines.dispatch_overhead_old_vs_new = dispatch_old_vs_new;
-  headlines.train_step_pipelined_8t = train_step_pipelined_8t;
   WriteJson(out_path, rows, headlines);
   std::printf("report written to %s\n", out_path.c_str());
   return 0;

@@ -5,14 +5,14 @@
 # scratch, per-sample score scratch, and step-arena lifetimes are where
 # bugs hide — under ASan the arena allocates per-request so a tensor
 # escaping its step scope is a real heap-use-after-free) and the
-# ctest-labeled `concurrency` suites (serving, scheduler torture, step
-# pipeline), the concurrency suites and the batched-eval suite rerun at 4
-# and 8 kernel threads, a TSan pass over the lock-free concurrency suites
-# (micro-batcher, serve-while-train snapshot hand-off, scheduler epoch
-# protocol, pipeline handoff) with the soak volumes bumped, the
+# ctest-labeled `concurrency` suites (serving, scheduler torture), the
+# concurrency suites and the batched-eval suite rerun at 4 and 8 kernel
+# threads, a TSan pass over the lock-free concurrency suites (micro-batcher,
+# serve-while-train snapshot hand-off, scheduler epoch protocol) with the
+# soak volumes bumped, the
 # crash-safety fault matrix (checkpoint commit-protocol crashes, corruption
 # fallback, trainer-death degradation) under ASan and TSan plus a
-# restore-determinism rerun in the alternate execution modes, an examples
+# restore-determinism rerun with the step arena off, an examples
 # build check, and a docs knob-consistency grep
 # (README.md must not document env knobs that no longer exist in the
 # source). Usage: scripts/verify.sh [jobs]
@@ -47,7 +47,7 @@ cmake -B "${asan_dir}" -S . -DCMAKE_BUILD_TYPE=Debug -DCDCL_SANITIZE=ON \
 cmake --build "${asan_dir}" -j "${JOBS}" \
   --target kernels_test gemm_packed_test batched_eval_test arena_test \
   vec_math_test serve_test \
-  continual_serve_test degrade_test scheduler_test pipeline_test ckpt_test
+  continual_serve_test degrade_test scheduler_test ckpt_test
 ctest --test-dir "${asan_dir}" --output-on-failure -j "${JOBS}" \
   -R '^(kernels_test|gemm_packed_test|batched_eval_test|arena_test|vec_math_test)$'
 
@@ -59,15 +59,8 @@ echo "== ASan/UBSan: checkpoint crash-safety fault matrix =="
 ctest --test-dir "${asan_dir}" --output-on-failure -j "${JOBS}" \
   -R '^ckpt_test$'
 
-echo "== ASan/UBSan: concurrency label (serve + serve-while-train + degradation + scheduler + pipeline) =="
+echo "== ASan/UBSan: concurrency label (serve + serve-while-train + degradation + scheduler) =="
 ctest --test-dir "${asan_dir}" --output-on-failure -j "${JOBS}" -L concurrency
-
-echo "== sync pipeline mode: arena suite with CDCL_ASYNC_PIPELINE=0 =="
-# The async step pipeline must be bitwise inert: with it disabled the
-# trainer reverts to the pre-pipeline execution order, and the arena
-# trajectory suite (the strictest end-to-end bitwise gate) must stay green.
-CDCL_ASYNC_PIPELINE=0 ctest --test-dir "${asan_dir}" --output-on-failure \
-  -j "${JOBS}" -R '^arena_test$'
 
 echo "== legacy numerics mode: arena suite with CDCL_VEC_MATH=0 =="
 # The vectorized transcendental tier is a numerics mode; the libm mode must
@@ -101,14 +94,11 @@ if c++ -fsanitize=thread "${tsan_probe}/probe.cc" -o "${tsan_probe}/probe" \
   cmake -B "${tsan_dir}" -S . -DCMAKE_BUILD_TYPE=Debug -DCDCL_TSAN=ON \
     -DCDCL_BUILD_BENCH=OFF -DCDCL_BUILD_EXAMPLES=OFF
   cmake --build "${tsan_dir}" -j "${JOBS}" \
-    --target serve_test continual_serve_test degrade_test scheduler_test \
-    pipeline_test
-  # The persistent-scheduler epoch protocol and the step-pipeline handoff
-  # are lock-free by design on their fast paths — TSan is the only tool
-  # that can vet the publish/claim orderings under real interleavings.
+    --target serve_test continual_serve_test degrade_test scheduler_test
+  # The persistent-scheduler epoch protocol is lock-free by design on its
+  # fast path — TSan is the only tool that can vet the publish/claim
+  # orderings under real interleavings.
   "${tsan_dir}/scheduler_test"
-  "${tsan_dir}/pipeline_test" \
-    --gtest_filter='StepPipelineTest.*:PipelineDeterminismTest.CdclTrajectoryBitwiseAsyncVsSync'
   CDCL_SOAK_REQS=600 "${tsan_dir}/serve_test" \
     --gtest_filter='MicroBatcherTest.*:ServeTest.Overload*:ServeTest.SlowConsumer*:ServeTest.SoakManyConnectionsPipelined'
   # The serve-while-train torture test runs in full under TSan, with the
@@ -124,14 +114,11 @@ else
   echo "verify: NOTE — toolchain lacks ThreadSanitizer support, TSan pass skipped"
 fi
 
-echo "== restore determinism: kill-and-resume rerun in alternate execution modes =="
+echo "== restore determinism: kill-and-resume rerun with the step arena off =="
 # The bitwise kill-and-resume pin already ran in Debug, Release, and ASan;
-# here it reruns with the async step pipeline disabled and with the step
-# arena disabled — a checkpoint written by any execution mode must resume
-# bitwise-identically in that mode, or the determinism contract is a
-# configuration accident.
-CDCL_ASYNC_PIPELINE=0 "build-verify-release/ckpt_test" \
-  --gtest_filter='CheckpointTest.KillAndResumeIsBitwiseIdenticalToUninterruptedRun'
+# here it reruns with the step arena disabled — a checkpoint written in
+# either arena mode must resume bitwise-identically in that mode, or the
+# determinism contract is a configuration accident.
 CDCL_ARENA=0 "build-verify-release/ckpt_test" \
   --gtest_filter='CheckpointTest.KillAndResumeIsBitwiseIdenticalToUninterruptedRun'
 

@@ -6,38 +6,10 @@
 #include "tensor/tensor_ops.h"
 #include "uda/pseudo_label.h"
 #include "util/logging.h"
-#include "util/pipeline.h"
 #include "util/prefetch.h"
 
 namespace cdcl {
 namespace baselines {
-namespace {
-
-/// Runs `body(batch)` for every batch of `loader`, double-buffered through
-/// the step pipeline: batch k+1 stacks on the pipeline thread while batch k
-/// encodes. The eval/encode loaders never shuffle, so the prepare draws no
-/// RNG and the batch sequence is the synchronous loop's.
-void ForEachBatchPipelined(data::DataLoader* loader,
-                           const std::function<void(data::Batch&)>& body) {
-  data::Batch slots[2];
-  bool has[2] = {false, false};
-  StepPipeline pipe;
-  int cur = 0;
-  pipe.Submit([loader, &slots, &has] { has[0] = loader->Next(&slots[0]); });
-  for (;;) {
-    pipe.Await();
-    if (!has[cur]) break;
-    const int next = 1 - cur;
-    pipe.Submit([loader, &slots, &has, next] {
-      has[next] = loader->Next(&slots[next]);
-    });
-    body(slots[cur]);
-    cur = next;
-  }
-}
-
-}  // namespace
-
 TrainerBase::TrainerBase(std::string name, const TrainerOptions& options)
     : name_(std::move(name)),
       options_(options),
@@ -89,7 +61,8 @@ double TrainerBase::EvaluateTil(const data::TensorDataset& test,
   Rng eval_rng(1);
   data::DataLoader loader(&test, EvalBatchSize(), &eval_rng,
                           /*shuffle=*/false);
-  ForEachBatchPipelined(&loader, [&](data::Batch& batch) {
+  data::Batch batch;
+  while (loader.Next(&batch)) {
     ArenaScope step_arena(&arena_);
     Tensor z = model_->EncodeSelfBatched(batch.images, task_id);
     Tensor logits = model_->TilLogits(z, task_id);
@@ -98,7 +71,7 @@ double TrainerBase::EvaluateTil(const data::TensorDataset& test,
       correct += (pred[i] == batch.task_labels[i]);
       ++total;
     }
-  });
+  }
   model_->SetTraining(true);
   return total == 0 ? 0.0 : static_cast<double>(correct) / total;
 }
@@ -112,7 +85,8 @@ double TrainerBase::EvaluateCil(const data::TensorDataset& test) {
   Rng eval_rng(1);
   data::DataLoader loader(&test, EvalBatchSize(), &eval_rng,
                           /*shuffle=*/false);
-  ForEachBatchPipelined(&loader, [&](data::Batch& batch) {
+  data::Batch batch;
+  while (loader.Next(&batch)) {
     ArenaScope step_arena(&arena_);
     Tensor z = model_->EncodeSelfBatched(batch.images, latest);
     Tensor logits = model_->CilLogits(z);
@@ -121,7 +95,7 @@ double TrainerBase::EvaluateCil(const data::TensorDataset& test) {
       correct += (pred[i] == batch.labels[i]);
       ++total;
     }
-  });
+  }
   model_->SetTraining(true);
   return total == 0 ? 0.0 : static_cast<double>(correct) / total;
 }
@@ -136,7 +110,8 @@ TrainerBase::EncodedDataset TrainerBase::EncodeDataset(
                           /*shuffle=*/false);
   int64_t row = 0;
   const int64_t d = model_->feature_dim();
-  ForEachBatchPipelined(&loader, [&](data::Batch& batch) {
+  data::Batch batch;
+  while (loader.Next(&batch)) {
     // Per-batch step scope: z and the encoder intermediates are arena-backed
     // and copied into the (heap, outside-scope) feature matrix before reset.
     ArenaScope step_arena(&arena_);
@@ -148,7 +123,7 @@ TrainerBase::EncodedDataset TrainerBase::EncodeDataset(
       out.task_labels.push_back(batch.task_labels[i]);
     }
     row += batch.size();
-  });
+  }
   CDCL_CHECK_EQ(row, dataset.size());
   return out;
 }

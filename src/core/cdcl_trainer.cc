@@ -3,7 +3,6 @@
 #include "nn/losses.h"
 #include "tensor/tensor_ops.h"
 #include "util/logging.h"
-#include "util/pipeline.h"
 
 namespace cdcl {
 namespace core {
@@ -140,39 +139,19 @@ void CdclTrainer::RunSourceOnlyEpoch(const data::CrossDomainTask& task,
   data::DataLoader loader(&task.source_train, options_.batch_size, &rng_);
   const bool rehearse =
       with_rehearsal && cdcl_options_.use_rehearsal && task_id > 0;
-  // Double-buffered prepare: batch k+1 (loader advance + rehearsal draws —
-  // every RNG consumer of this loop) gathers on the pipeline thread while
-  // batch k runs its forward/backward/optimizer step. The prepares run in
-  // submission order and the compute stage draws nothing, so the RNG
-  // sequence is byte-for-byte the synchronous loop's.
-  struct StepData {
-    data::Batch batch;
-    bool has_batch = false;
-    ReplayBatch replay;
-    int64_t replay_task = -1;
-    bool has_replay = false;
-  };
-  StepData slots[2];
-  auto prepare = [&](StepData* s) {
-    s->has_batch = loader.Next(&s->batch);
-    s->has_replay = false;
-    if (s->has_batch && rehearse) {
-      s->has_replay = SampleRehearsal(&s->replay, &s->replay_task);
-    }
-  };
-  StepPipeline pipe;
-  int cur = 0;
-  pipe.Submit([&prepare, &slots] { prepare(&slots[0]); });
-  for (;;) {
-    pipe.Await();
-    StepData& s = slots[cur];
-    if (!s.has_batch) break;
-    pipe.Submit([&prepare, &slots, next = 1 - cur] { prepare(&slots[next]); });
-    cur = 1 - cur;
+  data::Batch batch;
+  ReplayBatch replay;
+  int64_t replay_task = -1;
+  while (loader.Next(&batch)) {
+    // The loader advance and the rehearsal draws are every RNG consumer of
+    // this loop; they run before the step's arena scope opens, so the batch
+    // and replay tensors are heap allocations (arena-invisible by contract).
+    const bool has_replay =
+        rehearse && SampleRehearsal(&replay, &replay_task);
     ArenaScope step_arena(&arena_);
-    Tensor loss = WarmupLoss(s.batch, task_id);
-    if (s.has_replay) {
-      loss = ops::Add(loss, RehearsalLossOn(s.replay, s.replay_task, task_id));
+    Tensor loss = WarmupLoss(batch, task_id);
+    if (has_replay) {
+      loss = ops::Add(loss, RehearsalLossOn(replay, replay_task, task_id));
     }
     loss_trace_.push_back(loss.item());
     loss.Backward();
@@ -235,87 +214,62 @@ Status CdclTrainer::ObserveTask(const data::CrossDomainTask& task) {
                                    &rng_);
     const bool rehearse = cdcl_options_.use_rehearsal && current > 0;
     const size_t batch_size = static_cast<size_t>(options_.batch_size);
-    // Double-buffered prepare: the gathers and every RNG draw of a step
-    // (source-loader advance incl. its reshuffle-on-exhaustion, rehearsal
-    // task pick + replay sample) run on the pipeline thread while the
-    // previous step computes. Prepares execute in submission order and the
-    // compute stage draws nothing, so the RNG sequence — and therefore the
-    // loss/param trajectory — is bitwise the synchronous loop's.
-    struct PairStep {
-      std::vector<int64_t> task_labels, labels;
-      Tensor xs, xt;
-      data::Batch source_batch;
-      ReplayBatch replay;
-      int64_t replay_task = -1;
-      bool has_replay = false;
-    };
-    PairStep slots[2];
-    auto prepare = [&](PairStep* s, size_t start) {
+    data::Batch source_batch;
+    ReplayBatch replay;
+    int64_t replay_task = -1;
+    for (size_t start = 0; start < plan.pairs.size(); start += batch_size) {
+      // Gather the pair batch, then make every RNG draw of the step
+      // (source-loader advance incl. its reshuffle-on-exhaustion, rehearsal
+      // task pick + replay sample). The step itself draws nothing.
       const size_t end = std::min(plan.pairs.size(), start + batch_size);
-      std::vector<int64_t> si, ti;
-      s->task_labels.clear();
-      s->labels.clear();
+      std::vector<int64_t> si, ti, task_labels, labels;
       for (size_t i = start; i < end; ++i) {
         si.push_back(plan.pairs[i].first);
         ti.push_back(plan.pairs[i].second);
         const int64_t tl =
             source_all.task_labels[static_cast<size_t>(plan.pairs[i].first)];
-        s->task_labels.push_back(tl);
-        s->labels.push_back(tl + global_offset);
+        task_labels.push_back(tl);
+        labels.push_back(tl + global_offset);
       }
-      s->xs = ops::IndexRows(source_all.images, si);
-      s->xt = ops::IndexRows(target_all.images, ti);
-      if (!source_loader.Next(&s->source_batch)) {
+      Tensor xs = ops::IndexRows(source_all.images, si);
+      Tensor xt = ops::IndexRows(target_all.images, ti);
+      if (!source_loader.Next(&source_batch)) {
         source_loader.Reset();
-        source_loader.Next(&s->source_batch);
+        source_loader.Next(&source_batch);
       }
-      s->has_replay =
-          rehearse ? SampleRehearsal(&s->replay, &s->replay_task) : false;
-    };
-    StepPipeline pipe;
-    int cur = 0;
-    pipe.Submit([&prepare, &slots] { prepare(&slots[0], 0); });
-    for (size_t start = 0; start < plan.pairs.size(); start += batch_size) {
-      pipe.Await();
-      PairStep& s = slots[cur];
-      const size_t next_start = start + batch_size;
-      if (next_start < plan.pairs.size()) {
-        pipe.Submit([&prepare, &slots, next = 1 - cur, next_start] {
-          prepare(&slots[next], next_start);
-        });
-      }
-      cur = 1 - cur;
+      const bool has_replay =
+          rehearse && SampleRehearsal(&replay, &replay_task);
       // One arena-scoped training step: every tensor from here to the
       // optimizer update (the cross-encoding, losses, tape scratch) is a
-      // bump allocation released at the scope reset. The prepared gathers
-      // stay heap-owned by the slot — arena-invisible by contract.
+      // bump allocation released at the scope reset. The gathers above stay
+      // heap-owned — arena-invisible by contract.
       ArenaScope step_arena(&arena_);
       Tensor loss = Tensor::Scalar(0.0f);
       if (cdcl_options_.simple_attention) {
         // Ablation: plain self-attention on each stream, no mixing terms.
-        Tensor zs = model_->EncodeSelf(s.xs, current);
-        Tensor zt = model_->EncodeSelf(s.xt, current);
+        Tensor zs = model_->EncodeSelf(xs, current);
+        Tensor zt = model_->EncodeSelf(xt, current);
         if (cdcl_options_.use_cil_loss) {
           loss = ops::Add(loss,
-                          ops::CrossEntropy(model_->CilLogits(zs), s.labels));
+                          ops::CrossEntropy(model_->CilLogits(zs), labels));
           loss = ops::Add(loss,
-                          ops::CrossEntropy(model_->CilLogits(zt), s.labels));
+                          ops::CrossEntropy(model_->CilLogits(zt), labels));
         }
         if (cdcl_options_.use_til_loss) {
           loss = ops::Add(loss, ops::CrossEntropy(model_->TilLogits(zs, current),
-                                                  s.task_labels));
+                                                  task_labels));
           loss = ops::Add(loss, ops::CrossEntropy(model_->TilLogits(zt, current),
-                                                  s.task_labels));
+                                                  task_labels));
         }
       } else {
-        auto enc = model_->EncodeCross(s.xs, s.xt, current);
+        auto enc = model_->EncodeCross(xs, xt, current);
         if (cdcl_options_.use_cil_loss) {
           // L_CIL = L^CIL_S + L^CIL_T + L^CIL_D (eqs. 9-11, 15).
           Tensor cil_s = model_->CilLogits(enc.z_source);
           Tensor cil_t = model_->CilLogits(enc.z_target);
           Tensor cil_m = model_->CilLogits(enc.z_mixed);
-          loss = ops::Add(loss, ops::CrossEntropy(cil_s, s.labels));
-          loss = ops::Add(loss, ops::CrossEntropy(cil_t, s.labels));
+          loss = ops::Add(loss, ops::CrossEntropy(cil_s, labels));
+          loss = ops::Add(loss, ops::CrossEntropy(cil_t, labels));
           loss = ops::Add(loss, nn::MixingLoss(cil_m, cil_t));
         }
         if (cdcl_options_.use_til_loss) {
@@ -323,15 +277,15 @@ Status CdclTrainer::ObserveTask(const data::CrossDomainTask& task) {
           Tensor til_s = model_->TilLogits(enc.z_source, current);
           Tensor til_t = model_->TilLogits(enc.z_target, current);
           Tensor til_m = model_->TilLogits(enc.z_mixed, current);
-          loss = ops::Add(loss, ops::CrossEntropy(til_s, s.task_labels));
-          loss = ops::Add(loss, ops::CrossEntropy(til_t, s.task_labels));
+          loss = ops::Add(loss, ops::CrossEntropy(til_s, task_labels));
+          loss = ops::Add(loss, ops::CrossEntropy(til_t, task_labels));
           loss = ops::Add(loss, nn::MixingLoss(til_m, til_t));
         }
       }
-      loss = ops::Add(loss, WarmupLoss(s.source_batch, current));
+      loss = ops::Add(loss, WarmupLoss(source_batch, current));
       // Algorithm 1 lines 15-16: rehearsal from the second task on.
-      if (s.has_replay) {
-        loss = ops::Add(loss, RehearsalLossOn(s.replay, s.replay_task, current));
+      if (has_replay) {
+        loss = ops::Add(loss, RehearsalLossOn(replay, replay_task, current));
       }
       loss_trace_.push_back(loss.item());
       loss.Backward();

@@ -58,14 +58,14 @@ class CdclTrainer : public baselines::TrainerBase {
  private:
   /// Source-only warm-up objective: L^CIL_S + L^TIL_S (Algorithm 1 lines 8-9).
   Tensor WarmupLoss(const data::Batch& batch, int64_t task_id);
-  /// Prepare half of the rehearsal loss: draws the past-task pick and the
+  /// Sampling half of the rehearsal loss: draws the past-task pick and the
   /// replay sample from rng_ (the only RNG the rehearsal path consumes).
-  /// Returns false — drawing exactly what the synchronous path drew — when
-  /// the memory is empty or the picked task has no records. Runs on the
-  /// pipeline thread under CDCL_ASYNC_PIPELINE.
+  /// Returns false when the memory is empty or the picked task has no
+  /// records. Runs before the step's arena scope opens, so the replay
+  /// tensors are heap allocations.
   bool SampleRehearsal(ReplayBatch* rb, int64_t* past_task);
-  /// Compute half: rehearsal loss (eqs. 20-23) on a pre-sampled batch.
-  /// Touches no RNG, so it can overlap the next step's SampleRehearsal.
+  /// Loss half: rehearsal loss (eqs. 20-23) on a pre-sampled batch. Touches
+  /// no RNG.
   Tensor RehearsalLossOn(const ReplayBatch& rb, int64_t past_task,
                          int64_t current_task);
   /// One source-only epoch (shared by the warm-up phase, which adds

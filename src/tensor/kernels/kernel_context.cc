@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "tensor/kernels/matmul_kernel.h"
@@ -16,6 +17,11 @@ namespace kernels {
 namespace {
 
 thread_local bool tl_in_parallel_region = false;
+
+/// Number of hardware threads, with a floor of 1.
+int64_t HardwareThreads() {
+  return std::max<int64_t>(1, std::thread::hardware_concurrency());
+}
 
 /// Sets the nested-region flag and installs the launcher's batch-invariant
 /// GEMM policy for one chunk; restores both even if the chunk body throws.
@@ -45,7 +51,7 @@ class RegionGuard {
 /// runnable thread, so the default collapses to 0 there.
 int64_t SpinMicros() {
   static const int64_t spin =
-      EnvInt("CDCL_SPIN_US", ThreadPool::DefaultThreadCount() > 1 ? 120 : 0);
+      EnvInt("CDCL_SPIN_US", HardwareThreads() > 1 ? 120 : 0);
   return spin < 0 ? 0 : spin;
 }
 
@@ -97,8 +103,7 @@ int64_t KernelContext::num_threads() {
   int64_t resolved = override_threads_;
   if (resolved <= 0) {
     const int64_t env = EnvInt("CDCL_NUM_THREADS", 0);
-    resolved =
-        env > 0 ? env : static_cast<int64_t>(ThreadPool::DefaultThreadCount());
+    resolved = env > 0 ? env : HardwareThreads();
   }
   cached_threads_.store(resolved, std::memory_order_release);
   return resolved;

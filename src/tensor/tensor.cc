@@ -197,7 +197,8 @@ const float* Tensor::grad_data() const {
 Tensor Tensor::GradTensor() const {
   CDCL_CHECK(defined());
   Tensor g(shape());
-  if (has_grad()) {
+  // An empty grad has a null data(); memcpy from null is UB even for 0 bytes.
+  if (has_grad() && impl_->grad.size() > 0) {
     std::memcpy(g.data(), impl_->grad.data(), impl_->grad.size() * sizeof(float));
   }
   return g;

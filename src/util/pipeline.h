@@ -1,86 +1,13 @@
 #ifndef CDCL_UTIL_PIPELINE_H_
 #define CDCL_UTIL_PIPELINE_H_
 
-#include <condition_variable>
-#include <exception>
-#include <functional>
-#include <mutex>
-#include <thread>
-
 namespace cdcl {
 
-/// Depth-1 prepare/compute pipeline for the training and eval loops: the
-/// decoupled access/execute idea at batch scale. The caller double-buffers
-/// step state, Submit()s the closure that *prepares* step k+1 (gather the
-/// batch, advance the loader, sample rehearsal — everything that owns the
-/// RNG), then runs step k's compute while the prepare overlaps on the
-/// pipeline thread.
-///
-///   pipe.Submit(prepare_slot0);
-///   while (...) {
-///     pipe.Await();                  // slot `cur` is ready (rethrows)
-///     pipe.Submit(prepare_other);    // overlap next prepare with compute
-///     Compute(slots[cur]);
-///   }
-///
-/// Determinism contract: prepares run strictly in submission order, at most
-/// one in flight, and the compute stage must not touch the RNG or any state
-/// a prepare reads/writes — then the RNG draw order is identical to the
-/// synchronous loop. In sync mode (CDCL_ASYNC_PIPELINE=0) Submit just defers
-/// the closure and Await() runs it inline on the caller, byte-for-byte the
-/// pre-pipeline execution; loss/param trajectories are bitwise identical
-/// across both modes (tests/pipeline_test.cc).
-///
-/// The pipeline thread installs no ArenaScope, so prepared tensors are heap
-/// allocations in both modes (arena-invisible by the arena contract).
-class StepPipeline {
- public:
-  /// Mode from CDCL_ASYNC_PIPELINE (default async).
-  StepPipeline();
-  explicit StepPipeline(bool async);
-  /// Waits out any in-flight prepare (its side effects complete; an
-  /// exception it threw is swallowed), then stops the pipeline thread. A
-  /// deferred sync-mode closure that was never awaited is discarded.
-  ~StepPipeline();
-
-  StepPipeline(const StepPipeline&) = delete;
-  StepPipeline& operator=(const StepPipeline&) = delete;
-
-  /// Queues `prepare`. Requires the previous submission to have been
-  /// awaited. Async mode starts it on the pipeline thread immediately; sync
-  /// mode defers it to Await().
-  void Submit(std::function<void()> prepare);
-
-  /// Completes the outstanding prepare: joins it (async) or runs it inline
-  /// (sync). Rethrows anything the prepare threw. No-op when nothing is
-  /// outstanding.
-  void Await();
-
-  bool async() const { return async_; }
-
-  /// Pipeline mode: SetAsyncPipeline() wins, else CDCL_ASYNC_PIPELINE
-  /// (default on).
-  static bool AsyncPipelineEnabled();
-  static void SetAsyncPipeline(bool enabled);
-  /// Restores env/default resolution (tests).
-  static void ResetAsyncPipeline();
-
- private:
-  void WorkerLoop();
-
-  const bool async_;
-  // Sync mode: the deferred closure. Async mode: handoff slot to the worker.
-  std::function<void()> job_;
-  bool pending_ = false;  // submitted, not yet awaited
-
-  // Async-mode machinery; guarded by mutex_.
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::thread worker_;
-  bool job_ready_ = false;
-  bool job_done_ = false;
-  bool stop_ = false;
-  std::exception_ptr error_;
+/// Exists only so the frozen benchmark report (perfbench/src/report.cc) can
+/// keep printing `CDCL_ASYNC_PIPELINE=off` in its header: training and eval
+/// run one synchronous step loop. Delete it with the next benchmark change.
+struct StepPipeline {
+  static bool AsyncPipelineEnabled() { return false; }
 };
 
 }  // namespace cdcl

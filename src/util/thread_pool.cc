@@ -28,92 +28,6 @@ constexpr int kChecksPerClockRead = 64;
 
 }  // namespace
 
-ThreadPool::ThreadPool(size_t num_threads) {
-  CDCL_CHECK_GT(num_threads, 0u);
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    shutting_down_ = true;
-  }
-  task_available_.notify_all();
-  for (auto& worker : workers_) worker.join();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    CDCL_CHECK(!shutting_down_);
-    queue_.push(std::move(task));
-  }
-  task_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-size_t ThreadPool::DefaultThreadCount() {
-  unsigned int hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      task_available_.wait(lock,
-                           [this] { return shutting_down_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (shutting_down_) return;
-        continue;
-      }
-      task = std::move(queue_.front());
-      queue_.pop();
-      ++in_flight_;
-    }
-    task();
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) all_idle_.notify_all();
-    }
-  }
-}
-
-void ParallelFor(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn) {
-  if (pool == nullptr || n <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<size_t> next{0};
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  size_t remaining = pool->num_threads();
-  for (size_t w = 0; w < pool->num_threads(); ++w) {
-    pool->Submit([&] {
-      for (;;) {
-        size_t i = next.fetch_add(1);
-        if (i >= n) break;
-        fn(i);
-      }
-      std::unique_lock<std::mutex> lock(done_mutex);
-      if (--remaining == 0) done_cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining == 0; });
-}
-
-// --- RegionPool --------------------------------------------------------------
-
 RegionPool::RegionPool(size_t num_workers, int64_t spin_us)
     : spin_us_(spin_us < 0 ? 0 : spin_us),
       progress_(new WorkerProgress[num_workers]) {

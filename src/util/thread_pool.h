@@ -5,52 +5,12 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 namespace cdcl {
-
-/// Fixed-size worker pool used by the benchmark harnesses to run independent
-/// experiment cells in parallel. Tasks are plain std::function<void()>;
-/// Wait() blocks until the queue drains and all workers are idle.
-class ThreadPool {
- public:
-  explicit ThreadPool(size_t num_threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues `task` for execution on some worker.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished.
-  void Wait();
-
-  size_t num_threads() const { return workers_.size(); }
-
-  /// Number of hardware threads, with a sane floor of 1.
-  static size_t DefaultThreadCount();
-
- private:
-  void WorkerLoop();
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable task_available_;
-  std::condition_variable all_idle_;
-  size_t in_flight_ = 0;
-  bool shutting_down_ = false;
-};
-
-/// Runs fn(i) for i in [0, n) across the pool (or inline when pool==nullptr
-/// or n is tiny). Blocks until all iterations complete.
-void ParallelFor(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn);
 
 /// Persistent parallel-region worker team for the kernel scheduler.
 ///

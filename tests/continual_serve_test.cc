@@ -341,9 +341,16 @@ TEST(ContinualServeTest, ResponsesBitwiseMatchSomePublishedVersion) {
       uint32_t next_id = 1;
       uint32_t in_flight = 0;
       // Keep traffic flowing for the entire training run, and serve at
-      // least the floor even if training finishes instantly.
-      while (!continual.training_done() ||
-             static_cast<int64_t>(served[c].size()) < min_per_client) {
+      // least the floor even if training finishes instantly. Then wait for
+      // the answer to one request sent after training finished: the final
+      // publish happens before training_done(), so that answer carries the
+      // final version. Answers to earlier requests may all predate it.
+      uint32_t tail_id = 0;
+      for (;;) {
+        if (tail_id == 0 && continual.training_done() &&
+            static_cast<int64_t>(served[c].size()) >= min_per_client) {
+          tail_id = next_id;
+        }
         while (in_flight < kWindow) {
           Request request = pool[next_id % pool.size()];
           request.request_id = next_id++;
@@ -363,6 +370,7 @@ TEST(ContinualServeTest, ResponsesBitwiseMatchSomePublishedVersion) {
         served[c].push_back(
             {static_cast<uint32_t>(response.request_id % pool.size()),
              response.version, std::move(response.values)});
+        if (tail_id != 0 && response.request_id >= tail_id) break;
       }
     });
   }

@@ -1,7 +1,6 @@
 // Kernel-dispatch layer coverage: kernel-vs-serial equivalence (exact for
 // elementwise/matmul, tolerance for reductions), thread-count determinism,
-// gradcheck over the migrated GEMM-backed backward paths, and a ThreadPool
-// stress test.
+// and gradcheck over the migrated GEMM-backed backward paths.
 
 #include <atomic>
 #include <cmath>
@@ -15,7 +14,6 @@
 #include "tensor/kernels/parallel.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
-#include "util/thread_pool.h"
 
 namespace cdcl {
 namespace {
@@ -445,39 +443,6 @@ TEST(KernelGradCheckTest, Conv2dBackwardAtFourThreads) {
        Tensor::Randn(Shape{3}, &rng, 0.5f, true)},
       /*epsilon=*/2e-2);
   EXPECT_TRUE(r.passed) << r.detail;
-}
-
-TEST(ThreadPoolStressTest, SubmitWaitUnderContention) {
-  ThreadPool pool(4);
-  std::atomic<int64_t> counter{0};
-  // Several waves of submissions interleaved with Wait() — exercises the
-  // queue/cv handshake under contention.
-  for (int wave = 0; wave < 20; ++wave) {
-    const int tasks = 50 + wave;
-    for (int t = 0; t < tasks; ++t) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-  }
-  int64_t want = 0;
-  for (int wave = 0; wave < 20; ++wave) want += 50 + wave;
-  EXPECT_EQ(counter.load(), want);
-}
-
-TEST(ThreadPoolStressTest, ConcurrentSubmittersViaKernelPool) {
-  // Outer pool workers each drive kernel ParallelFor calls that share the
-  // KernelContext pool: per-call completion tracking must not cross wires.
-  ThreadScope scope(3);
-  ThreadPool outer(4);
-  std::atomic<int64_t> total{0};
-  for (int t = 0; t < 16; ++t) {
-    outer.Submit([&total] {
-      kernels::ParallelFor(1000, 16,
-                           [&total](int64_t) { total.fetch_add(1); });
-    });
-  }
-  outer.Wait();
-  EXPECT_EQ(total.load(), 16 * 1000);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Serving-layer suite: protocol framing (round-trips, split/coalesced reads,
-// oversized/malformed rejection), the micro-batcher's dispatch policy, and
-// end-to-end server contracts — every response bitwise identical to a
-// quiesced single-thread fused eval across worker counts, plus the
+// oversized/malformed rejection, a seeded mutation fuzz of both decoders),
+// the micro-batcher's dispatch policy, and end-to-end server contracts —
+// every response bitwise identical to a quiesced single-thread fused eval
+// across worker counts, plus the
 // event-loop trap pins (SIGPIPE, partial writes, half-close, EINTR storms,
 // oversized-frame isolation) and a pipelined multi-connection soak
 // (CDCL_SOAK_REQS scales it up).
@@ -13,12 +14,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -257,6 +261,124 @@ TEST(ProtocolTest, MalformedFramesRejected) {
     body[0] = 1;
     stream.Append(body.data(), body.size());
     EXPECT_EQ(parser.Next(&stream, &parsed), ParseResult::kError);
+  }
+}
+
+/// Drains `bytes` through one parser until it stops yielding frames. Every
+/// call must return a ParseResult without throwing, and no decoded payload
+/// may be larger than the bytes it was decoded from.
+template <typename Parser, typename Message>
+void ExpectBoundedDecode(const std::vector<uint8_t>& bytes, size_t max_body,
+                         const char* context) {
+  Buffer in;
+  if (!bytes.empty()) in.Append(bytes.data(), bytes.size());
+  Parser parser(max_body);
+  Message out;
+  // Each decoded frame consumes at least its 4-byte length prefix.
+  for (size_t frames = 0; frames <= bytes.size() / 4; ++frames) {
+    ParseResult r = ParseResult::kError;
+    ASSERT_NO_THROW(r = parser.Next(&in, &out)) << context;
+    ASSERT_TRUE(r == ParseResult::kNeedMore || r == ParseResult::kFrame ||
+                r == ParseResult::kError)
+        << context;
+    if constexpr (std::is_same_v<Message, Request>) {
+      ASSERT_LE(out.pixels.size() * sizeof(float), bytes.size()) << context;
+    } else {
+      ASSERT_LE(out.values.size() * sizeof(float), bytes.size()) << context;
+    }
+    ASSERT_LE(out.ping_payload.size(), bytes.size()) << context;
+    if (r != ParseResult::kFrame) return;
+  }
+  FAIL() << context << ": parser yielded more frames than the input holds";
+}
+
+TEST(ProtocolTest, MutatedFramesNeverThrowOrOverAllocate) {
+  // Seed corpus: one valid frame per request and response shape.
+  std::vector<std::vector<uint8_t>> corpus;
+  auto add = [&corpus](const Buffer& frame) {
+    corpus.emplace_back(frame.Peek(), frame.Peek() + frame.ReadableBytes());
+  };
+  for (MessageType type : {MessageType::kClassifyTil, MessageType::kClassifyCil,
+                           MessageType::kEncode}) {
+    Buffer frame;
+    AppendRequest(ImageRequest(type, 5, 1, 1, 3, 17), &frame);
+    add(frame);
+  }
+  for (MessageType type : {MessageType::kPing, MessageType::kHealth}) {
+    Request r;
+    r.type = type;
+    r.request_id = 6;
+    if (type == MessageType::kPing) r.ping_payload = {1, 2, 3, 4, 5, 6, 7};
+    Buffer frame;
+    AppendRequest(r, &frame);
+    add(frame);
+  }
+  for (MessageType type : {MessageType::kPing, MessageType::kClassifyCil,
+                           MessageType::kHealth}) {
+    Response r;
+    r.request_id = 7;
+    r.type = type;
+    r.version = 3;
+    if (type == MessageType::kPing) {
+      r.ping_payload = {9, 8, 7};
+    } else {
+      r.values = {0.5f, -1.0f, 2.0f};
+    }
+    Buffer frame;
+    AppendResponse(r, &frame);
+    add(frame);
+  }
+
+  // A small limit makes the max_body_bytes +- 1 boundary reachable; every
+  // mutant also runs against the default limit.
+  constexpr size_t kMaxBody = 64;
+  const uint32_t kFieldValues[] = {0, kMaxBody - 1, kMaxBody, kMaxBody + 1,
+                                   UINT32_MAX};
+  // Offsets of the u32 length prefix and of the response value count.
+  const size_t kFieldOffsets[] = {0, 4 + 12};
+  Rng rng(1234);
+  constexpr int kCases = 12000;
+  for (int c = 0; c < kCases; ++c) {
+    std::vector<uint8_t> bytes = corpus[rng.NextBelow(corpus.size())];
+    switch (rng.NextBelow(4)) {
+      case 0: {  // flip 1-4 random bits
+        const uint64_t flips = 1 + rng.NextBelow(4);
+        for (uint64_t f = 0; f < flips; ++f) {
+          bytes[rng.NextBelow(bytes.size())] ^=
+              static_cast<uint8_t>(1u << rng.NextBelow(8));
+        }
+        break;
+      }
+      case 1:  // truncate anywhere, including to nothing
+        bytes.resize(rng.NextBelow(bytes.size() + 1));
+        break;
+      case 2: {  // head of one frame + tail of another
+        const std::vector<uint8_t>& other =
+            corpus[rng.NextBelow(corpus.size())];
+        bytes.resize(rng.NextBelow(bytes.size() + 1));
+        bytes.insert(bytes.end(),
+                     other.begin() + static_cast<std::ptrdiff_t>(
+                                         rng.NextBelow(other.size() + 1)),
+                     other.end());
+        break;
+      }
+      default: {  // length or count field set to a boundary value
+        const size_t at = kFieldOffsets[rng.NextBelow(2)];
+        const uint32_t v = kFieldValues[rng.NextBelow(5)];
+        if (at + 4 > bytes.size()) break;
+        for (size_t k = 0; k < 4; ++k) {
+          bytes[at + k] = static_cast<uint8_t>(v >> (8 * k));
+        }
+        break;
+      }
+    }
+    const std::string context = "case " + std::to_string(c);
+    for (size_t limit : {kMaxBody, serve::kMaxFrameBytes}) {
+      ExpectBoundedDecode<FrameParser, Request>(bytes, limit, context.c_str());
+      ExpectBoundedDecode<ResponseParser, Response>(bytes, limit,
+                                                    context.c_str());
+      if (HasFatalFailure()) return;
+    }
   }
 }
 

@@ -1,4 +1,3 @@
-#include <atomic>
 #include <cmath>
 #include <set>
 
@@ -9,7 +8,6 @@
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
-#include "util/thread_pool.h"
 
 namespace cdcl {
 namespace {
@@ -202,40 +200,6 @@ TEST(EnvTest, MalformedValuesFallBackToDefault) {
   setenv("CDCL_TEST_BAD_VAR", "1e3", 1);
   EXPECT_DOUBLE_EQ(EnvDouble("CDCL_TEST_BAD_VAR", 2.5), 1000.0);
   unsetenv("CDCL_TEST_BAD_VAR");
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(64);
-  ParallelFor(&pool, hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForInlineWithoutPool) {
-  std::vector<int> hits(8, 0);
-  ParallelFor(nullptr, hits.size(), [&](size_t i) { hits[i] += 1; });
-  for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(TablePrinterTest, AlignsColumns) {
