@@ -13,9 +13,9 @@
 # crash-safety fault matrix (checkpoint commit-protocol crashes, corruption
 # fallback, trainer-death degradation) under ASan and TSan plus a
 # restore-determinism rerun with the step arena off, an examples
-# build check, and a docs knob-consistency grep
-# (README.md must not document env knobs that no longer exist in the
-# source). Usage: scripts/verify.sh [jobs]
+# build check, and a docs knob-consistency grep both ways (README.md must
+# not document env knobs that no longer exist in the source, and every knob
+# the source reads needs a README row). Usage: scripts/verify.sh [jobs]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -129,9 +129,18 @@ echo "== docs: README knob consistency =="
 # but that is still name-dropped in comments must fail here.
 stale=0
 for knob in $(grep -oE 'CDCL_[A-Z0-9_]+' README.md | sort -u); do
-  if ! grep -rqE "(Env[A-Za-z]+|getenv)\(\"${knob}\"" src bench tests examples \
+  if ! grep -rqE "(Env[A-Za-z]+|getenv)\(\"${knob}\"" src tools bench tests examples \
       && ! grep -qE "\b${knob}\b" CMakeLists.txt; then
     echo "verify: FAIL — README.md documents ${knob}, but nothing reads it" >&2
+    stale=1
+  fi
+done
+# And the reverse: every CDCL_* knob the program reads through Env*() or
+# getenv() needs a README.md table row, so a new knob cannot ship unlisted.
+for knob in $(grep -rhoE '(Env[A-Za-z]+|getenv)\("CDCL_[A-Z0-9_]+"' \
+    src tools bench examples | grep -oE 'CDCL_[A-Z0-9_]+' | sort -u); do
+  if ! grep -qE "^\|.*\`${knob}\`" README.md; then
+    echo "verify: FAIL — ${knob} is read, but README.md has no row for it" >&2
     stale=1
   fi
 done

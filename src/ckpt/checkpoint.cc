@@ -16,10 +16,22 @@ namespace {
 constexpr uint32_t kFormatVersion = 1;
 
 /// True when `count` elements of at least `min_bytes` encoded bytes each fit
-/// in what is left of `r`. Checked before every resize(count), so a corrupt
-/// count is rejected instead of becoming an attacker-sized allocation.
+/// in what is left of `r`. Checked before every count-sized loop, so a
+/// corrupt count is rejected up front. Vectors whose element is wider than
+/// its encoding (structs) still grow one decoded element at a time: the
+/// bytes actually present, not the count, size them.
 bool CountFits(const ByteReader& r, uint64_t count, size_t min_bytes) {
   return count <= r.remaining() / min_bytes;
+}
+
+/// Reads `ndim` non-negative i64 dims, each backed by 8 input bytes.
+bool ReadDims(ByteReader* r, uint8_t ndim, std::vector<int64_t>* dims) {
+  if (!CountFits(*r, ndim, sizeof(int64_t))) return false;
+  dims->resize(ndim);
+  for (auto& d : *dims) {
+    if (!r->GetI64(&d) || d < 0) return false;
+  }
+  return true;
 }
 
 // --- encode helpers --------------------------------------------------------
@@ -32,16 +44,26 @@ void WriteTensor(ByteWriter* w, const Tensor& t) {
 
 bool ReadTensor(ByteReader* r, Tensor* out) {
   uint8_t ndim = 0;
-  if (!r->GetU8(&ndim)) return false;
-  std::vector<int64_t> dims(ndim);
-  for (auto& d : dims) {
-    if (!r->GetI64(&d) || d < 0) return false;
-  }
+  std::vector<int64_t> dims;
   std::vector<float> values;
-  if (!r->GetFloats(&values)) return false;
-  Shape shape(std::move(dims));
-  if (shape.NumElements() != static_cast<int64_t>(values.size())) return false;
-  *out = Tensor::FromVector(shape, std::move(values));
+  if (!r->GetU8(&ndim) || !ReadDims(r, ndim, &dims) || !r->GetFloats(&values)) {
+    return false;
+  }
+  // The dims must multiply out to the stored count; dividing instead of
+  // multiplying keeps a forged dim from overflowing the product.
+  uint64_t rest = values.size();
+  bool has_zero = false;
+  for (int64_t d : dims) {
+    if (d == 0) {
+      has_zero = true;
+    } else if (rest % static_cast<uint64_t>(d) != 0) {
+      return false;
+    } else {
+      rest /= static_cast<uint64_t>(d);
+    }
+  }
+  if (has_zero ? !values.empty() : rest != 1) return false;
+  *out = Tensor::FromVector(Shape(std::move(dims)), std::move(values));
   return true;
 }
 
@@ -176,18 +198,15 @@ Status ParseCheckpoint(const std::vector<uint8_t>& bytes,
     if (!r.GetU64(&count) || !CountFits(r, count, 18)) {
       return MalformedSection("model");
     }
-    out->params.resize(static_cast<size_t>(count));
-    for (auto& p : out->params) {
+    for (uint64_t i = 0; i < count; ++i) {
+      ParsedParam p;
       uint8_t rg = 0, ndim = 0;
-      if (!r.GetString(&p.name) || !r.GetU8(&rg) || !r.GetU8(&ndim)) {
+      if (!r.GetString(&p.name) || !r.GetU8(&rg) || !r.GetU8(&ndim) ||
+          !ReadDims(&r, ndim, &p.dims) || !r.GetFloats(&p.values)) {
         return MalformedSection("model");
       }
       p.requires_grad = rg != 0;
-      p.dims.resize(ndim);
-      for (auto& d : p.dims) {
-        if (!r.GetI64(&d) || d < 0) return MalformedSection("model");
-      }
-      if (!r.GetFloats(&p.values)) return MalformedSection("model");
+      out->params.push_back(std::move(p));
     }
   }
 
@@ -198,14 +217,15 @@ Status ParseCheckpoint(const std::vector<uint8_t>& bytes,
     if (!r.GetU64(&count) || !CountFits(r, count, 25)) {
       return MalformedSection("optim");
     }
-    out->optim.resize(static_cast<size_t>(count));
-    for (auto& e : out->optim) {
+    for (uint64_t i = 0; i < count; ++i) {
+      optim::Adam::ExportedState e;
       uint8_t present = 0;
       if (!r.GetU8(&present) || !r.GetI64(&e.step) || !r.GetFloats(&e.m) ||
           !r.GetFloats(&e.v) || e.m.size() != e.v.size()) {
         return MalformedSection("optim");
       }
       e.present = present != 0;
+      out->optim.push_back(std::move(e));
     }
   }
 
@@ -231,8 +251,8 @@ Status ParseCheckpoint(const std::vector<uint8_t>& bytes,
         !CountFits(r, count, 2 * 9 + 3 * 8 + 3 * 13 + 8 + 4)) {
       return MalformedSection("memory");
     }
-    out->records.resize(static_cast<size_t>(count));
-    for (auto& rec : out->records) {
+    for (uint64_t i = 0; i < count; ++i) {
+      cl::MemoryRecord rec;
       if (!ReadTensor(&r, &rec.source_image) ||
           !ReadTensor(&r, &rec.target_image) || !r.GetI64(&rec.label) ||
           !r.GetI64(&rec.task_label) || !r.GetI64(&rec.task_id) ||
@@ -242,6 +262,7 @@ Status ParseCheckpoint(const std::vector<uint8_t>& bytes,
           !r.GetF32(&rec.confidence)) {
         return MalformedSection("memory");
       }
+      out->records.push_back(std::move(rec));
     }
   }
 
@@ -421,6 +442,11 @@ Result<CheckpointInfo> SaveTrainer(const std::string& dir,
   info.next_task = next_task;
   info.path = dir + "/" + name;
   return info;
+}
+
+Status VerifyCheckpoint(const std::vector<uint8_t>& bytes) {
+  ParsedCheckpoint parsed;
+  return ParseCheckpoint(bytes, &parsed);
 }
 
 Result<CheckpointInfo> RestoreTrainer(const std::string& dir,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "baselines/trainer_base.h"
 #include "util/status.h"
@@ -70,6 +71,12 @@ Result<CheckpointInfo> SaveTrainer(const std::string& dir,
 /// logged and skipped. NotFound when the directory holds no generations.
 Result<CheckpointInfo> RestoreTrainer(const std::string& dir,
                                       baselines::TrainerBase* trainer);
+
+/// The decode step RestoreTrainer runs on each candidate generation, without
+/// a trainer: CRC-verifies and parses a checkpoint image. IoError on any
+/// corruption; never throws, and sizes nothing from a count the input does
+/// not back with bytes.
+Status VerifyCheckpoint(const std::vector<uint8_t>& bytes);
 
 }  // namespace ckpt
 }  // namespace cdcl

@@ -84,13 +84,12 @@ Status DecodeSections(const std::vector<uint8_t>& bytes,
   if (!r.GetU32(&count)) {
     return Status::IoError("checkpoint: truncated section count");
   }
-  // Every section frames at least tag(4) + len(8) + crc(4) bytes; bound the
-  // count by what is left before reserving for it.
+  // Every section frames at least tag(4) + len(8) + crc(4) bytes. The list
+  // grows per decoded section, so a forged count sizes nothing.
   if (count > r.remaining() / 16) {
     return Status::IoError("checkpoint: section count exceeds file size");
   }
   std::vector<Section> sections;
-  sections.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     Section s;
     uint64_t len = 0;

@@ -61,15 +61,21 @@ MicroBatcher::Stats MicroBatcher::stats() const {
   return stats_;
 }
 
+size_t MicroBatcher::queued() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return queue_.size();
+}
+
 void MicroBatcher::WorkerLoop() {
   const auto deadline_budget = std::chrono::microseconds(
       options_.deadline_us > 0 ? options_.deadline_us : 0);
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    // Wait for work; once something is queued, hold out for a full batch
-    // until the oldest request's deadline expires. All sleeping workers
-    // share the same predicate, so exactly the first one to wake past it
-    // takes the batch and the rest go back to waiting.
+    // Wait for work and take it at once. Only an explicit hold makes a
+    // partial batch wait for more, until the oldest request's deadline
+    // expires. All sleeping workers share the same predicate, so exactly the
+    // first one to wake past it takes the batch and the rest go back to
+    // waiting.
     for (;;) {
       if (stopping_ && queue_.empty()) return;
       if (!queue_.empty()) {

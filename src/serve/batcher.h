@@ -23,15 +23,19 @@ struct InferenceRequest {
   std::chrono::steady_clock::time_point enqueue_time;
 };
 
-/// Adaptive micro-batcher: worker threads coalesce queued requests into one
-/// batch of up to `max_batch`, dispatching early the moment the batch is
-/// full and otherwise when the *oldest* queued request has waited
-/// `deadline_us` — so a lone request pays at most the deadline in added
-/// latency while a loaded queue always ships full batches. deadline_us <= 0
-/// disables coalescing (every wakeup ships whatever is queued immediately,
-/// max_batch still caps the slice). The batch function runs on the worker
-/// thread; with several workers, distinct batches execute concurrently
-/// against the shared immutable model snapshot.
+/// Work-conserving micro-batcher: a free worker ships everything queued, up
+/// to `max_batch`, the moment it sees it. Requests that arrive while every
+/// worker is busy queue up and form the next batch, so batches grow with
+/// load on their own and a full backlog ships full batches, while a request
+/// reaching an idle server pays no added latency. The batch function runs
+/// on the worker thread; with several workers, distinct batches execute
+/// concurrently against the shared immutable model snapshot.
+///
+/// `deadline_us > 0` is an explicit hold, set only programmatically (tests
+/// use it to force full batches): a partial batch then waits until it fills
+/// or its oldest request has waited `deadline_us`. No measurement favours a
+/// hold in production, because each task group of a batch needs its own
+/// encode (docs/serve.md), so the default is 0.
 ///
 /// Backpressure: `queue_max > 0` bounds the number of *undispatched*
 /// requests. A Submit() that would exceed the bound is rejected (returns
@@ -43,7 +47,7 @@ class MicroBatcher {
  public:
   struct Options {
     int64_t max_batch = 32;
-    int64_t deadline_us = 200;
+    int64_t deadline_us = 0;  // explicit hold for a partial batch; 0 = none
     int64_t workers = 1;
     int64_t queue_max = 0;  // <= 0 = unbounded
   };
@@ -69,11 +73,15 @@ class MicroBatcher {
   /// joins the workers. Idempotent.
   void Stop();
 
-  /// Thread-safe; stamps the enqueue time used by the deadline policy.
+  /// Thread-safe; stamps the enqueue time an explicit hold is measured from.
   /// Returns false (and drops the request) when the queue bound is hit.
   bool Submit(InferenceRequest request);
 
   Stats stats() const;
+
+  /// Requests waiting for a worker right now (a snapshot; it may change as
+  /// soon as the call returns).
+  size_t queued() const;
 
  private:
   void WorkerLoop();

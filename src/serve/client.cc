@@ -1,38 +1,13 @@
 #include "serve/client.h"
 
-#include <algorithm>
-#include <ctime>
 #include <unistd.h>
+
 #include <utility>
 
 #include "serve/net.h"
 
 namespace cdcl {
 namespace serve {
-namespace {
-
-void SleepUs(int64_t us) {
-  if (us <= 0) return;
-  timespec ts;
-  ts.tv_sec = us / 1000000;
-  ts.tv_nsec = (us % 1000000) * 1000;
-  ::nanosleep(&ts, nullptr);
-}
-
-}  // namespace
-
-int64_t RetryDelayUs(const RetryPolicy& policy, int attempt, Rng* rng) {
-  if (attempt < 1) return 0;
-  // base * 2^(attempt-1), capped — computed without overflow for any attempt.
-  int64_t delay = policy.base_delay_us;
-  for (int i = 1; i < attempt && delay < policy.max_delay_us; ++i) delay *= 2;
-  delay = std::min(delay, policy.max_delay_us);
-  // Full jitter in [delay/2, delay]: desynchronizes a fleet of clients that
-  // all got kOverloaded from the same queue-full instant.
-  const int64_t half = delay / 2;
-  return half + static_cast<int64_t>(
-                    rng->NextBelow(static_cast<uint64_t>(delay - half + 1)));
-}
 
 Client::~Client() { Close(); }
 
@@ -88,39 +63,6 @@ bool Client::Call(const Request& request, Response* response) {
     }
     pending_[received.request_id] = std::move(received);
   }
-}
-
-bool Client::ConnectWithRetry(uint16_t port, const RetryPolicy& policy,
-                              Rng* rng) {
-  for (int attempt = 1; attempt <= policy.max_attempts; ++attempt) {
-    if (Connect(port)) return true;
-    if (attempt == policy.max_attempts) break;
-    SleepUs(RetryDelayUs(policy, attempt, rng));
-  }
-  return false;
-}
-
-bool Client::CallWithRetry(const Request& request, Response* response,
-                           uint16_t port, const RetryPolicy& policy,
-                           Rng* rng) {
-  for (int attempt = 1; attempt <= policy.max_attempts; ++attempt) {
-    if (!connected() && !Connect(port)) {
-      if (attempt == policy.max_attempts) return false;
-      SleepUs(RetryDelayUs(policy, attempt, rng));
-      continue;
-    }
-    if (Call(request, response)) {
-      if (response->status != ResponseStatus::kOverloaded) return true;
-      // Overload is retryable by design: the connection stays open, the
-      // server just refused to grow its queue. Back off and resubmit.
-    } else {
-      Close();  // transport error: reconnect on the next attempt
-    }
-    if (attempt == policy.max_attempts) break;
-    SleepUs(RetryDelayUs(policy, attempt, rng));
-  }
-  // Out of attempts: report the last overload response if we got one.
-  return connected() && response->status == ResponseStatus::kOverloaded;
 }
 
 }  // namespace serve

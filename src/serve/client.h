@@ -7,28 +7,9 @@
 
 #include "serve/buffer.h"
 #include "serve/protocol.h"
-#include "util/rng.h"
 
 namespace cdcl {
 namespace serve {
-
-/// Capped exponential backoff with full jitter, for client-side retries of
-/// connect failures and kOverloaded replies. Opt-in: the plain
-/// Connect/Send/Call paths never retry (seed behavior); bench_serve and
-/// operators under overload use the *WithRetry entry points.
-struct RetryPolicy {
-  int max_attempts = 5;        // total tries, including the first
-  int64_t base_delay_us = 1000;   // delay before the 1st retry
-  int64_t max_delay_us = 100000;  // cap on the exponential growth
-};
-
-/// Pure backoff schedule: the delay before retry `attempt` (1-based — the
-/// attempt AFTER the attempt-th failure), exponential doubling capped at
-/// max_delay_us, with full jitter drawn from `rng` (uniform in
-/// [delay/2, delay]). Pure so the unit test can pin the schedule without a
-/// single sleep; the jitter RNG is caller-owned, so benches stay seeded and
-/// reproducible.
-int64_t RetryDelayUs(const RetryPolicy& policy, int attempt, Rng* rng);
 
 /// Minimal blocking client for the length-prefixed protocol, used by the
 /// load generator, the test suites and the demo binary. One connection per
@@ -57,17 +38,6 @@ class Client {
   /// Convenience: send + wait for the response to that exact request_id,
   /// buffering any other completions for later Receive() calls.
   bool Call(const Request& request, Response* response);
-
-  /// Connect with capped-exponential-backoff retries (e.g. the server is
-  /// still binding, or a restart-from-checkpoint is in progress).
-  bool ConnectWithRetry(uint16_t port, const RetryPolicy& policy, Rng* rng);
-
-  /// Call that retries kOverloaded responses (and re-sends after transport
-  /// errors by reconnecting to `port`) under the policy's backoff schedule.
-  /// Returns false when every attempt failed; a terminal non-overload
-  /// response (success or a real protocol error) returns immediately.
-  bool CallWithRetry(const Request& request, Response* response,
-                     uint16_t port, const RetryPolicy& policy, Rng* rng);
 
  private:
   int fd_ = -1;

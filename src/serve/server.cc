@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "serve/net.h"
+#include "tensor/kernels/kernel_context.h"
 #include "util/env.h"
 #include "util/logging.h"
 
@@ -180,7 +181,6 @@ InferenceServer::Options InferenceServer::Options::FromEnv() {
   Options options;
   options.port = static_cast<uint16_t>(EnvInt("CDCL_SERVE_PORT", options.port));
   options.workers = EnvInt("CDCL_SERVE_WORKERS", options.workers);
-  options.deadline_us = EnvInt("CDCL_SERVE_DEADLINE_US", options.deadline_us);
   options.queue_max = EnvInt("CDCL_SERVE_QUEUE_MAX", options.queue_max);
   options.idle_timeout_ms =
       EnvInt("CDCL_SERVE_IDLE_TIMEOUT_MS", options.idle_timeout_ms);
@@ -202,6 +202,12 @@ InferenceServer::InferenceServer(
       batcher_options, [this](std::vector<InferenceRequest> batch) {
         std::vector<CompletedResponse> responses =
             engine_.Run(std::move(batch));
+        // On an idle server a batch is a burst of kernel regions followed by
+        // a gap until the next request. Parking the team then, instead of
+        // letting it spin through the gap, leaves the cores to the loop
+        // thread and the clients. With a backlog the next batch starts at
+        // once, so the team keeps spinning.
+        if (batcher_->queued() == 0) kernels::RestWorkers();
         loop_.RunInLoop([this, responses = std::move(responses)]() mutable {
           DeliverResponses(std::move(responses));
         });

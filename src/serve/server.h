@@ -40,7 +40,9 @@ class InferenceServer {
     uint16_t port = 7070;       // 0 = ephemeral (tests/bench)
     int64_t workers = 1;        // batcher worker threads
     int64_t max_batch = 32;     // micro-batch ceiling
-    int64_t deadline_us = 200;  // coalescing deadline; <= 0 disables
+    /// Explicit hold for a partial micro-batch (MicroBatcher::Options);
+    /// 0, the default, dispatches work-conservingly. Programmatic only.
+    int64_t deadline_us = 0;
     /// Backpressure bound on undispatched batcher requests: a request that
     /// would exceed it is answered immediately with kOverloaded instead of
     /// growing the queue without limit. <= 0 = unbounded (seed behavior).
@@ -52,9 +54,9 @@ class InferenceServer {
     /// <= 0 disables reaping (seed behavior).
     int64_t idle_timeout_ms = 0;
 
-    /// CDCL_SERVE_PORT / CDCL_SERVE_WORKERS / CDCL_SERVE_DEADLINE_US /
-    /// CDCL_SERVE_QUEUE_MAX / CDCL_SERVE_IDLE_TIMEOUT_MS / CDCL_EVAL_BATCH
-    /// (>0 overrides max_batch) on top of the defaults.
+    /// CDCL_SERVE_PORT / CDCL_SERVE_WORKERS / CDCL_SERVE_QUEUE_MAX /
+    /// CDCL_SERVE_IDLE_TIMEOUT_MS / CDCL_EVAL_BATCH (>0 overrides
+    /// max_batch) on top of the defaults.
     static Options FromEnv();
   };
 

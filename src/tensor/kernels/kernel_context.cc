@@ -142,6 +142,10 @@ void SetNumThreads(int64_t n) { KernelContext::Get().SetNumThreads(n); }
 
 int64_t GetNumThreads() { return KernelContext::Get().num_threads(); }
 
+void RestWorkers() {
+  if (RegionPool* pool = KernelContext::Get().region_pool()) pool->Rest();
+}
+
 int64_t RowGrain(int64_t width) {
   const int64_t w = std::max<int64_t>(width, 1);
   return std::max<int64_t>(kEltwiseGrain / w, 1);

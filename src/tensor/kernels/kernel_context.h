@@ -66,6 +66,10 @@ class KernelContext {
 void SetNumThreads(int64_t n);
 int64_t GetNumThreads();
 
+/// Tells the worker team this caller has no kernel work coming soon, so
+/// spinning workers park now (RegionPool::Rest). No-op when single-threaded.
+void RestWorkers();
+
 // ---------------------------------------------------------------------------
 // Grain-size policy. Grains are in loop-index units; chunks of `grain`
 // consecutive indices are the unit of scheduling (and of reduction partials).

@@ -26,6 +26,12 @@ constexpr int kYieldRounds = 32;
 /// dominated by clock_gettime.
 constexpr int kChecksPerClockRead = 64;
 
+/// The newest epoch the calling thread launched, and on which pool. Rest()
+/// compares it with the pool's epoch; keeping it thread-local leaves Launch
+/// no extra shared write.
+thread_local const RegionPool* tl_launch_pool = nullptr;
+thread_local uint64_t tl_launch_epoch = 0;
+
 }  // namespace
 
 RegionPool::RegionPool(size_t num_workers, int64_t spin_us)
@@ -74,6 +80,8 @@ void RegionPool::Launch(ChunkFn fn, void* ctx, int64_t chunks) {
       }
     }
   }
+  tl_launch_pool = this;
+  tl_launch_epoch = next_epoch;
   Slot& slot = slots_[next_epoch % kRing];
   slot.fn = fn;
   slot.ctx = ctx;
@@ -90,6 +98,12 @@ void RegionPool::Launch(ChunkFn fn, void* ctx, int64_t chunks) {
     std::lock_guard<std::mutex> lock(park_mutex_);
     park_cv_.notify_all();
   }
+}
+
+void RegionPool::Rest() {
+  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
+  if (tl_launch_pool != this || tl_launch_epoch != epoch) return;
+  rest_epoch_.store(epoch, std::memory_order_relaxed);
 }
 
 void RegionPool::JoinRegion() {
@@ -167,7 +181,7 @@ void RegionPool::WorkerLoop(size_t index) {
 }
 
 bool RegionPool::AwaitEpoch(uint64_t seen, uint64_t* observed) {
-  // Phase 1: spin for spin_us_.
+  // Phase 1: spin for spin_us_, unless a Rest() hint names this epoch.
   if (spin_us_ > 0) {
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::microseconds(spin_us_);
@@ -181,7 +195,10 @@ bool RegionPool::AwaitEpoch(uint64_t seen, uint64_t* observed) {
         if (shutdown_.load(std::memory_order_acquire)) return false;
         CpuRelax();
       }
-      if (std::chrono::steady_clock::now() >= deadline) break;
+      if (rest_epoch_.load(std::memory_order_relaxed) == seen ||
+          std::chrono::steady_clock::now() >= deadline) {
+        break;
+      }
     }
   }
   // Phase 2: yield the core a bounded number of times.

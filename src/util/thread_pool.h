@@ -80,6 +80,19 @@ class RegionPool {
   /// Releases the region slot claimed by TryBeginRegion.
   void EndRegion();
 
+  /// Hint from the thread that launched the newest region that it has no
+  /// region coming soon: workers waiting past the current epoch cut their
+  /// spin short and park, so an idle caller does not keep the team's cores
+  /// busy. Ignored when another thread launched the newest region, so one
+  /// caller going idle never parks the team under another's back-to-back
+  /// regions. A region launched after the hint makes it stale.
+  void Rest();
+
+  /// Workers currently parked on the condvar (test observability).
+  size_t parked_workers() const {
+    return sleepers_.load(std::memory_order_seq_cst);
+  }
+
  private:
   /// One region descriptor. fn/ctx/chunks are plain fields: written before
   /// the epoch bump that publishes the descriptor, read only after an
@@ -114,6 +127,7 @@ class RegionPool {
   Slot slots_[kRing];
   Slot* active_slot_ = nullptr;  // owned by the launcher between Launch/Join
   std::atomic<uint64_t> epoch_{0};
+  std::atomic<uint64_t> rest_epoch_{UINT64_MAX};  // epoch Rest() was called at
 
   // Park/wake machinery — slow path only.
   std::atomic<bool> shutdown_{false};

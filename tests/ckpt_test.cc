@@ -7,8 +7,9 @@
 // at every syscall of the commit protocol, short writes, ENOSPC/EIO, and
 // direct on-disk corruption (truncation, bit flips) — every wreckage must be
 // detected via CRC and restore must fall back to the newest generation that
-// verifies. scripts/verify.sh runs this suite under ASan/UBSan and repeats
-// the resume-determinism pin as a standalone pass.
+// verifies. A seeded mutation fuzz feeds CRC-resealed mutants of real
+// checkpoints to the decoders. scripts/verify.sh runs this suite under
+// ASan/UBSan and repeats the resume-determinism pin as a standalone pass.
 
 #include <dirent.h>
 #include <unistd.h>
@@ -17,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,30 @@
 #include "util/rng.h"
 #include "util/serialize.h"
 #include "util/status.h"
+
+// Largest single heap request this thread made while a probe was armed. The
+// decoder fuzz below replaces the global operator new with this counting
+// wrapper to prove no mutant sizes an allocation beyond its own input.
+namespace {
+thread_local bool t_probe_armed = false;
+thread_local size_t t_probe_largest = 0;
+}  // namespace
+
+// GCC cannot tell that these replacements pair malloc with free.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  if (t_probe_armed && n > t_probe_largest) t_probe_largest = n;
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new[](std::size_t n) { return operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace cdcl {
 namespace {
@@ -568,6 +594,248 @@ TEST(CheckpointCorruptionTest, ForgedCountsInValidSectionsAreRejected) {
     ASSERT_FALSE(info.ok()) << forgery.name;
     EXPECT_EQ(info.status().code(), StatusCode::kIoError) << forgery.name;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzz of the decoders: container, sections, ByteReader
+// ---------------------------------------------------------------------------
+
+/// Arms the allocation probe for its scope.
+class AllocationProbe {
+ public:
+  AllocationProbe() {
+    t_probe_largest = 0;
+    t_probe_armed = true;
+  }
+  ~AllocationProbe() { t_probe_armed = false; }
+  size_t largest() const { return t_probe_largest; }
+};
+
+/// A count or length field at `offset` (`width` 4 or 8 bytes), with the
+/// smallest encoded size of one element it counts, so that
+/// (bytes after the field) / elem_bytes is the largest count the decoder's
+/// bound can accept: the "limit" the fuzz probes on either side of.
+struct CountField {
+  size_t offset;
+  size_t width;
+  size_t elem_bytes;
+};
+
+/// Walks a well-formed section payload along the kMeta/kModel/kOptim/
+/// kMemory layouts in checkpoint.cc and records every count field in it.
+class CountFieldWalker {
+ public:
+  explicit CountFieldWalker(const std::vector<uint8_t>& payload)
+      : size_(payload.size()), r_(payload) {}
+
+  /// Records the u64 count at the cursor and steps over it, and over the
+  /// elements it counts when they follow it directly.
+  uint64_t Count(size_t elem_bytes, bool elements_follow) {
+    fields_.push_back({size_ - r_.remaining(), 8, elem_bytes});
+    uint64_t n = 0;
+    r_.GetU64(&n);
+    if (elements_follow) Skip(n * elem_bytes);
+    return n;
+  }
+  uint8_t U8() {
+    uint8_t v = 0;
+    r_.GetU8(&v);
+    return v;
+  }
+  void Skip(uint64_t bytes) {
+    for (uint8_t v = 0; bytes > 0 && r_.GetU8(&v); --bytes) {
+    }
+  }
+  void Tensor() {  // ndim, dims, float count, floats
+    Skip(8 * U8());
+    Count(sizeof(float), true);
+  }
+  void Compact() {  // mode, count, scale, codes of the mode's width
+    const uint8_t mode = U8();
+    const size_t width = mode == 1 ? 2 : mode == 2 ? 1 : 4;
+    Skip(sizeof(float) + Count(width, false) * width);
+  }
+
+  const std::vector<CountField>& fields() const { return fields_; }
+
+ private:
+  size_t size_;
+  ByteReader r_;
+  std::vector<CountField> fields_;
+};
+
+std::vector<CountField> SectionCountFields(const ckpt::Section& section) {
+  CountFieldWalker w(section.payload);
+  switch (section.tag) {
+    case ckpt::kMeta:  // version, next_task, tasks_seen, class counts
+      w.Skip(4 + 8 + 8);
+      w.Count(sizeof(int64_t), true);
+      break;
+    case ckpt::kModel:  // name, requires_grad, tensor
+      for (uint64_t i = 0, n = w.Count(18, false); i < n; ++i) {
+        w.Count(1, true);
+        w.Skip(1);
+        w.Tensor();
+      }
+      break;
+    case ckpt::kOptim:  // present, step, m, v
+      for (uint64_t i = 0, n = w.Count(25, false); i < n; ++i) {
+        w.Skip(1 + 8);
+        w.Count(sizeof(float), true);
+        w.Count(sizeof(float), true);
+      }
+      break;
+    case ckpt::kMemory:  // num_tasks, then the records
+      w.Skip(8);
+      for (uint64_t i = 0, n = w.Count(2 * 9 + 3 * 8 + 3 * 13 + 8 + 4, false);
+           i < n; ++i) {
+        w.Tensor();
+        w.Tensor();
+        w.Skip(3 * 8);  // label, task_label, task_id
+        w.Compact();
+        w.Compact();
+        w.Skip(8);  // logit_tasks
+        w.Compact();
+        w.Skip(4);  // confidence
+      }
+      break;
+    default:
+      break;
+  }
+  return w.fields();
+}
+
+/// Container-level count fields: the u32 section count after the magic and
+/// each section's u64 payload length.
+std::vector<CountField> ContainerCountFields(
+    const std::vector<ckpt::Section>& sections) {
+  std::vector<CountField> fields = {{8, 4, 16}};
+  size_t at = 12;
+  for (const ckpt::Section& section : sections) {
+    fields.push_back({at + 4, 8, 1});
+    at += 4 + 8 + section.payload.size() + 4;
+  }
+  return fields;
+}
+
+/// One random mutation of `bytes`: bit flips, a truncation, a splice with
+/// `other`, or a count field set to 0, limit-1, limit, limit+1, UINT32_MAX
+/// or UINT64_MAX.
+void Mutate(std::vector<uint8_t>* bytes, const std::vector<uint8_t>& other,
+            const std::vector<CountField>& fields, Rng* rng) {
+  switch (rng->NextBelow(4)) {
+    case 0: {
+      if (bytes->empty()) break;
+      for (uint64_t f = 1 + rng->NextBelow(4); f > 0; --f) {
+        (*bytes)[rng->NextBelow(bytes->size())] ^=
+            static_cast<uint8_t>(1u << rng->NextBelow(8));
+      }
+      break;
+    }
+    case 1:
+      bytes->resize(rng->NextBelow(bytes->size() + 1));
+      break;
+    case 2:
+      bytes->resize(rng->NextBelow(bytes->size() + 1));
+      bytes->insert(bytes->end(),
+                    other.begin() + static_cast<std::ptrdiff_t>(
+                                        rng->NextBelow(other.size() + 1)),
+                    other.end());
+      break;
+    default: {
+      if (fields.empty()) break;
+      const CountField& f = fields[rng->NextBelow(fields.size())];
+      if (f.offset + f.width > bytes->size()) break;
+      const uint64_t limit =
+          (bytes->size() - f.offset - f.width) / f.elem_bytes;
+      const uint64_t values[] = {0,         limit - 1,  limit,
+                                 limit + 1, UINT32_MAX, UINT64_MAX};
+      const uint64_t v = values[rng->NextBelow(6)];
+      for (size_t k = 0; k < f.width; ++k) {
+        (*bytes)[f.offset + k] = static_cast<uint8_t>(v >> (8 * k));
+      }
+      break;
+    }
+  }
+}
+
+// Mutants of real checkpoints (fp32, bf16 and int8 rehearsal codecs). Three
+// in four mutate one section's payload and re-seal its CRC, so the section
+// parsers, ReadCompactFloats and ByteReader see them; the rest mutate the
+// container bytes as stored. Every case must return an IoError or a valid
+// decode: no throw, no abort (ASan/UBSan run this suite in verify.sh), and
+// no single allocation larger than the mutant itself.
+TEST(CheckpointFuzzTest, MutatedCheckpointsNeverThrowOrOverAllocate) {
+  struct Seed {
+    std::vector<uint8_t> bytes;
+    std::vector<ckpt::Section> sections;
+  };
+  std::vector<Seed> corpus;
+  for (kernels::GemmPrecision mode :
+       {kernels::GemmPrecision::kFp32, kernels::GemmPrecision::kBf16,
+        kernels::GemmPrecision::kInt8}) {
+    auto stream = TinyDigitsStream(1);
+    core::CdclOptions options = TinyCdclOptions();
+    options.base.memory_size = 4;  // small seeds, more cases per second
+    core::CdclTrainer trainer(options);
+    kernels::SetGemmPrecision(mode);
+    const Status observed = trainer.ObserveTask(stream.task(0));
+    kernels::SetGemmPrecision(kernels::GemmPrecision::kFp32);
+    ASSERT_TRUE(observed.ok()) << observed.ToString();
+    ASSERT_GT(trainer.memory().size(), 0);
+    TempDir dir;
+    const Result<CheckpointInfo> saved = SaveTrainer(dir.path(), trainer, 1);
+    ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+    Seed seed;
+    seed.bytes = ReadAll(saved->path);
+    ASSERT_TRUE(ckpt::DecodeSections(seed.bytes, &seed.sections).ok());
+    ASSERT_TRUE(ckpt::VerifyCheckpoint(seed.bytes).ok());
+    corpus.push_back(std::move(seed));
+  }
+
+  Rng rng(4321);
+  constexpr int kCases = 3000;
+  int decoded = 0, malformed = 0;
+  for (int c = 0; c < kCases; ++c) {
+    const Seed& seed = corpus[rng.NextBelow(corpus.size())];
+    const Seed& other = corpus[rng.NextBelow(corpus.size())];
+    std::vector<uint8_t> bytes;
+    if (rng.NextBelow(4) == 0) {
+      bytes = seed.bytes;
+      Mutate(&bytes, other.bytes, ContainerCountFields(seed.sections), &rng);
+    } else {
+      std::vector<ckpt::Section> sections = seed.sections;
+      ckpt::Section& target = sections[rng.NextBelow(sections.size())];
+      const std::vector<CountField> fields = SectionCountFields(target);
+      Mutate(&target.payload,
+             other.sections[rng.NextBelow(other.sections.size())].payload,
+             fields, &rng);
+      bytes = ckpt::EncodeSections(sections);
+    }
+
+    Status st = Status::Internal("not run");
+    size_t largest = 0;
+    {
+      AllocationProbe probe;
+      try {
+        st = ckpt::VerifyCheckpoint(bytes);
+      } catch (...) {
+        ADD_FAILURE() << "case " << c << ": decoder threw";
+      }
+      largest = probe.largest();
+    }
+    ASSERT_LE(largest, bytes.size()) << "case " << c;
+    if (st.ok()) {
+      ++decoded;
+    } else {
+      ASSERT_EQ(st.code(), StatusCode::kIoError)
+          << "case " << c << ": " << st.ToString();
+      if (st.ToString().find("malformed") != std::string::npos) ++malformed;
+    }
+  }
+  // Both outcomes must be common, or the mutants never reached the parsers.
+  EXPECT_GT(decoded, kCases / 20);
+  EXPECT_GT(malformed, kCases / 20);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@
 // lose or double-run chunks), nested regions run inline, a throwing chunk
 // propagates out of the region without wedging the parked team, concurrent
 // callers from independent threads fall back serially without corruption,
-// and SetNumThreads can replace the team between regions — including while
-// its workers are parked — without lost wakeups or numeric drift.
+// SetNumThreads can replace the team between regions — including while its
+// workers are parked — without lost wakeups or numeric drift, and a Rest()
+// hint parks spinning workers without costing a chunk.
 // scripts/verify.sh re-runs this suite under ASan/UBSan and TSan (ctest
 // label `concurrency`).
 
@@ -310,6 +311,69 @@ TEST(RegionPoolTest, TryBeginRegionExcludesSecondLauncher) {
   pool.EndRegion();
   EXPECT_TRUE(pool.TryBeginRegion());
   pool.EndRegion();
+}
+
+/// Polls until every worker of `pool` is parked; false after 10 s.
+bool AllWorkersPark(const RegionPool& pool) {
+  for (int i = 0; i < 10000; ++i) {
+    if (pool.parked_workers() == pool.num_workers()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+TEST(RegionPoolTest, RestParksSpinningWorkersAndRegionsStillRun) {
+  // A minute-long spin budget: without the hint no worker parks within the
+  // test, with it every worker parks, and a later region wakes them again.
+  RegionPool pool(3, /*spin_us=*/60 * 1000 * 1000);
+  for (int round = 0; round < 3; ++round) {
+    std::atomic<int64_t> ran{0};
+    ASSERT_TRUE(pool.TryBeginRegion());
+    pool.Launch(
+        [](void* arg, int64_t) {
+          static_cast<std::atomic<int64_t>*>(arg)->fetch_add(
+              1, std::memory_order_relaxed);
+          return true;
+        },
+        &ran, int64_t{64});
+    pool.JoinRegion();
+    pool.EndRegion();
+    EXPECT_EQ(ran.load(), 64);
+    pool.Rest();
+    ASSERT_TRUE(AllWorkersPark(pool)) << "round " << round;
+  }
+}
+
+TEST(RegionPoolTest, RestRacingRegionsLosesNoChunk) {
+  // Two launchers share the team; one hints rest after each of its regions
+  // while the other runs regions back to back. A stale or early hint may
+  // only cost a park and a wakeup, never a lost or doubled chunk.
+  RegionPool pool(3, /*spin_us=*/50);
+  std::atomic<int64_t> ran{0};
+  constexpr int kRounds = 3000;
+  constexpr int64_t kChunks = 8;
+  auto launcher = [&](bool rest) {
+    for (int r = 0; r < kRounds; ++r) {
+      if (!pool.TryBeginRegion()) {  // the other launcher holds the slot
+        ran.fetch_add(kChunks, std::memory_order_relaxed);
+        continue;
+      }
+      pool.Launch(
+          [](void* arg, int64_t) {
+            static_cast<std::atomic<int64_t>*>(arg)->fetch_add(
+                1, std::memory_order_relaxed);
+            return true;
+          },
+          &ran, kChunks);
+      pool.JoinRegion();
+      pool.EndRegion();
+      if (rest) pool.Rest();
+    }
+  };
+  std::thread resting([&] { launcher(true); });
+  launcher(false);
+  resting.join();
+  EXPECT_EQ(ran.load(), 2 * kChunks * kRounds);
 }
 
 TEST(RegionPoolTest, DestructorWakesParkedWorkers) {

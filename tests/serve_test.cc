@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -471,7 +472,7 @@ TEST(MicroBatcherTest, DeadlineFlushesPartialBatch) {
   batcher.Stop();
 }
 
-TEST(MicroBatcherTest, ZeroDeadlineDisablesCoalescing) {
+TEST(MicroBatcherTest, ZeroDeadlineShipsQueuedRequestsCappedByMaxBatch) {
   BatchCollector collector;
   MicroBatcher::Options options;
   options.max_batch = 2;
@@ -488,6 +489,61 @@ TEST(MicroBatcherTest, ZeroDeadlineDisablesCoalescing) {
   }
   EXPECT_EQ(seen, 7u);
   batcher.Stop();
+}
+
+TEST(MicroBatcherTest, BacklogCoalescesUnderDefaultOptions) {
+  // Default options: no hold. The first request reaches an idle worker and
+  // ships alone; the worker is then parked inside the batch fn, so whatever
+  // is submitted meanwhile is the backlog, which must ship in submit order
+  // as full max_batch batches followed by the remainder.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::vector<std::vector<uint32_t>> batches;
+  const MicroBatcher::Options options;
+  ASSERT_EQ(options.deadline_us, 0);
+  MicroBatcher batcher(options,
+                       [&](std::vector<serve::InferenceRequest> batch) {
+                         std::unique_lock<std::mutex> lock(mu);
+                         batches.emplace_back();
+                         for (const auto& r : batch) {
+                           batches.back().push_back(r.request.request_id);
+                         }
+                         cv.notify_all();
+                         cv.wait(lock, [&] { return release; });
+                       });
+  batcher.Start();
+  ASSERT_TRUE(batcher.Submit(BatcherRequest(0)));
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return !batches.empty(); });
+    EXPECT_EQ(batches[0], std::vector<uint32_t>{0})
+        << "a request reaching an idle worker must ship alone, at once";
+  }
+
+  const uint32_t max_batch = static_cast<uint32_t>(options.max_batch);
+  const uint32_t backlog = 2 * max_batch + 5;
+  for (uint32_t id = 1; id <= backlog; ++id) {
+    ASSERT_TRUE(batcher.Submit(BatcherRequest(id)));
+  }
+  EXPECT_EQ(batcher.queued(), backlog);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  batcher.Stop();  // drains the backlog
+
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(batches.size(), 4u);
+  uint32_t next = 1;
+  for (size_t b = 1; b < batches.size(); ++b) {
+    const uint32_t want = std::min(max_batch, backlog + 1 - next);
+    ASSERT_EQ(batches[b].size(), want) << "batch " << b;
+    for (uint32_t id : batches[b]) EXPECT_EQ(id, next++) << "batch " << b;
+  }
+  EXPECT_EQ(next, backlog + 1);
+  EXPECT_EQ(batcher.stats().max_batch_seen, options.max_batch);
 }
 
 TEST(MicroBatcherTest, BoundedQueueRejectsWhenFullAndCountsRejections) {
@@ -1106,43 +1162,6 @@ TEST_F(ServeTest, SoakManyConnectionsPipelined) {
   EXPECT_EQ(stats.requests,
             static_cast<uint64_t>(kConnections * per_connection));
   EXPECT_GT(stats.max_batch_seen, 1);
-}
-
-// ---------------------------------------------------------------------------
-// Client retry backoff (pure schedule — no sleeps, no server)
-// ---------------------------------------------------------------------------
-
-TEST(RetryBackoffTest, ScheduleIsCappedExponentialWithJitter) {
-  serve::RetryPolicy policy;
-  policy.base_delay_us = 1000;
-  policy.max_delay_us = 100000;
-
-  Rng rng(7);
-  for (int attempt = 1; attempt <= 20; ++attempt) {
-    // Nominal delay doubles per attempt until the cap.
-    int64_t nominal = policy.base_delay_us;
-    for (int i = 1; i < attempt && nominal < policy.max_delay_us; ++i) {
-      nominal *= 2;
-    }
-    nominal = std::min(nominal, policy.max_delay_us);
-    const int64_t delay = serve::RetryDelayUs(policy, attempt, &rng);
-    EXPECT_GE(delay, nominal / 2) << "attempt " << attempt;
-    EXPECT_LE(delay, nominal) << "attempt " << attempt;
-  }
-  // Deep attempts sit inside the cap's jitter band, never above it.
-  const int64_t deep = serve::RetryDelayUs(policy, 62, &rng);
-  EXPECT_GE(deep, policy.max_delay_us / 2);
-  EXPECT_LE(deep, policy.max_delay_us);
-  EXPECT_EQ(serve::RetryDelayUs(policy, 0, &rng), 0);
-
-  // The jitter is the caller's seeded stream: same seed, same schedule —
-  // retrying clients are reproducible end to end.
-  Rng rng_a(123), rng_b(123);
-  for (int attempt = 1; attempt <= 8; ++attempt) {
-    EXPECT_EQ(serve::RetryDelayUs(policy, attempt, &rng_a),
-              serve::RetryDelayUs(policy, attempt, &rng_b))
-        << attempt;
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@
 // next task boundary (writing a final checkpoint), the batcher drains, and
 // the process exits 0.
 //
-// Knobs: CDCL_SERVE_PORT, CDCL_SERVE_WORKERS, CDCL_SERVE_DEADLINE_US,
-// CDCL_SERVE_QUEUE_MAX (backpressure bound), CDCL_SERVE_IDLE_TIMEOUT_MS
+// Knobs: CDCL_SERVE_PORT, CDCL_SERVE_WORKERS, CDCL_SERVE_QUEUE_MAX
+// (backpressure bound), CDCL_SERVE_IDLE_TIMEOUT_MS
 // (idle-connection reaping), CDCL_SERVE_PUBLISH_EVERY (publish cadence in
 // tasks), CDCL_CKPT_DIR / CDCL_CKPT_RETAIN (checkpointing), CDCL_FAULT
 // (deterministic fault injection, docs/robustness.md), CDCL_EVAL_BATCH

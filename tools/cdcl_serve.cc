@@ -6,8 +6,8 @@
 // and serves classify/encode requests on the length-prefixed protocol until
 // SIGINT/SIGTERM. See docs/serve.md for the protocol and knob table.
 //
-// Knobs: CDCL_SERVE_PORT, CDCL_SERVE_WORKERS, CDCL_SERVE_DEADLINE_US,
-// CDCL_SERVE_QUEUE_MAX (backpressure bound), CDCL_SERVE_IDLE_TIMEOUT_MS
+// Knobs: CDCL_SERVE_PORT, CDCL_SERVE_WORKERS, CDCL_SERVE_QUEUE_MAX
+// (backpressure bound), CDCL_SERVE_IDLE_TIMEOUT_MS
 // (idle-connection reaping, 0 = off), CDCL_FAULT (deterministic fault
 // injection, docs/robustness.md), CDCL_EVAL_BATCH (micro-batch ceiling),
 // CDCL_TASKS / CDCL_EMBED_DIM / CDCL_LAYERS (model shape).
