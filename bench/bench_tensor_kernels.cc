@@ -1,12 +1,13 @@
 // Kernel-dispatch throughput benchmark: blocked/packed/parallel kernels vs
 // the pre-kernel serial seed loops, at 1, 2 and N worker threads. The matmul
-// rows pin the dispatcher to one kernel each (blocked scalar tile vs the
-// packed-B SIMD path) so the packed-vs-blocked trajectory is recorded per
-// run; the conv row times a full forward+backward step through the parallel
-// per-chunk grad-scratch path; the attention rows time the fused batched
-// inference path against the per-sample eval loop it replaces (both at 8
-// threads too, the acceptance shape for the batched-eval PR). Prints the
-// usual aligned table and emits a BENCH_kernels.json report for tracking.
+// rows cap the ISA (scalar: the blocked scalar tile; no cap: the packed-B
+// SIMD path — same bits, different speed) so the packed-vs-blocked
+// trajectory is recorded per run; the conv row times a full
+// forward+backward step through the parallel per-chunk grad-scratch path;
+// the attention rows time the fused batched inference path against the
+// per-sample eval loop it replaces (both at 8 threads too, the acceptance
+// shape for the batched-eval PR). Prints the usual aligned table and emits
+// a BENCH_kernels.json report for tracking.
 //
 // Env knobs:
 //   CDCL_BENCH_REPS   timing repetitions, best-of (default 3)
@@ -15,7 +16,6 @@
 //   CDCL_BENCH_ATTN   batched-attention batch size (default 128)
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -27,10 +27,8 @@
 #include "optim/optimizer.h"
 #include "tensor/arena.h"
 #include "tensor/kernels/kernel_context.h"
-#include "tensor/kernels/layernorm.h"
 #include "tensor/kernels/matmul_kernel.h"
 #include "tensor/kernels/parallel.h"
-#include "tensor/kernels/vec_math.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 #include "util/env.h"
@@ -97,11 +95,6 @@ struct BenchRow {
 struct Headlines {
   double packed_vs_blocked_1t = 0.0;
   double batched_attention_8t = 0.0;
-  double train_step_fused_arena_1t = 0.0;
-  double train_step_fused_arena_8t = 0.0;
-  double vec_exp_1t = 0.0;
-  double vec_tanh_1t = 0.0;
-  double layernorm_fused_1t = 0.0;
 };
 
 void WriteJson(const std::string& path, const std::vector<BenchRow>& rows,
@@ -115,15 +108,8 @@ void WriteJson(const std::string& path, const std::vector<BenchRow>& rows,
                "{\n  \"bench\": \"tensor_kernels\",\n"
                "  \"packed_vs_blocked_1t\": %.3f,\n"
                "  \"batched_attention_8t\": %.3f,\n"
-               "  \"train_step_fused_arena_1t\": %.3f,\n"
-               "  \"train_step_fused_arena_8t\": %.3f,\n"
-               "  \"vec_exp_1t\": %.3f,\n"
-               "  \"vec_tanh_1t\": %.3f,\n"
-               "  \"layernorm_fused_1t\": %.3f,\n"
                "  \"results\": [\n",
-               h.packed_vs_blocked_1t, h.batched_attention_8t,
-               h.train_step_fused_arena_1t, h.train_step_fused_arena_8t,
-               h.vec_exp_1t, h.vec_tanh_1t, h.layernorm_fused_1t);
+               h.packed_vs_blocked_1t, h.batched_attention_8t);
   for (size_t i = 0; i < rows.size(); ++i) {
     const BenchRow& r = rows[i];
     std::fprintf(f, "    {\"op\": \"%s\", \"size\": \"%s\", \"serial_ms\": %.3f, ",
@@ -151,10 +137,6 @@ int main() {
   const std::string out_path =
       EnvString("CDCL_BENCH_OUT", "BENCH_kernels.json");
   std::vector<int64_t> thread_counts = {1, 2, 4};
-  // Sections that pin a numerics mode (layernorm serial leg, the train-step
-  // seed/fused protocol) restore this ambient CDCL_VEC_MATH mode so the
-  // other rows honor the requested environment.
-  const bool ambient_vec_math = kernels::VecMathEnabled();
   kernels::SetNumThreads(0);
   const int64_t hw = kernels::GetNumThreads();
   if (hw > 4) thread_counts.push_back(hw);
@@ -167,6 +149,7 @@ int main() {
   std::vector<BenchRow> rows;
 
   // --- MatMul: mm x mm x mm, blocked scalar tile vs packed SIMD path --------
+  // The packed rule takes this shape whenever the ISA cap allows SIMD.
   {
     const int64_t m = mm, n = mm, k = mm;
     const std::vector<float> a = RandVec(m * k, 1), b = RandVec(k * n, 2);
@@ -178,25 +161,24 @@ int main() {
         TimeMs(reps, [&] { SeedMatMul(m, n, k, a.data(), b.data(), c.data()); });
     const struct {
       const char* op;
-      kernels::GemmKernel kernel;
+      kernels::IsaCap cap;
     } kMatmulRows[] = {
-        {"matmul_blocked", kernels::GemmKernel::kScalar},
-        {"matmul_packed", kernels::GemmKernel::kPacked},
-        {"matmul_auto", kernels::GemmKernel::kAuto},
+        {"matmul_blocked", kernels::IsaCap::kScalar},
+        {"matmul_packed", kernels::IsaCap::kAvx512},
     };
     for (const auto& spec : kMatmulRows) {
       BenchRow row;
       row.op = spec.op;
       row.size = size;
       row.serial_ms = seed_serial_ms;
-      kernels::SetGemmKernel(spec.kernel);
+      kernels::SetIsaCap(spec.cap);
       for (int64_t t : thread_counts) {
         kernels::SetNumThreads(t);
         row.per_thread_ms.emplace_back(t, TimeMs(reps, [&] {
           kernels::GemmNN(m, n, k, a.data(), b.data(), c.data(), false);
         }));
       }
-      kernels::SetGemmKernel(kernels::GemmKernel::kAuto);
+      kernels::SetIsaCap(kernels::IsaCap::kAvx512);
       rows.push_back(row);
     }
   }
@@ -231,97 +213,12 @@ int main() {
     rows.push_back(row);
   }
 
-  // --- Vectorized transcendentals vs the libm scalar loops ------------------
-  // The serial column is the pre-tier numerics (CDCL_VEC_MATH=0): a plain
-  // libm sweep at one thread. The per-thread columns run the polynomial
-  // SIMD tier through the parallel maps — the same kernels the GELU/softmax
-  // epilogues and the op-path activations dispatch to.
-  double vec_exp_1t = 0.0, vec_tanh_1t = 0.0, layernorm_fused_1t = 0.0;
-  {
-    const int64_t n = int64_t{1} << 20;
-    std::vector<float> x(static_cast<size_t>(n)), y(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-      x[static_cast<size_t>(i)] =
-          -6.0f + 12.0f * static_cast<float>(i % 4096) / 4096.0f;
-    }
-    const float* px = x.data();
-    float* py = y.data();
-    struct VecSpec {
-      const char* op;
-      void (*libm)(int64_t, const float*, float*);
-      void (*vec)(int64_t, const float*, float*);
-      double* headline;
-    };
-    const VecSpec kVecRows[] = {
-        {"vec_exp",
-         [](int64_t count, const float* in, float* out) {
-           for (int64_t i = 0; i < count; ++i) out[i] = std::exp(in[i]);
-         },
-         &kernels::ExpMapVec, &vec_exp_1t},
-        {"vec_tanh",
-         [](int64_t count, const float* in, float* out) {
-           for (int64_t i = 0; i < count; ++i) out[i] = std::tanh(in[i]);
-         },
-         &kernels::TanhMapVec, &vec_tanh_1t},
-    };
-    for (const VecSpec& spec : kVecRows) {
-      BenchRow row;
-      row.op = spec.op;
-      row.size = StrFormat("%lld", static_cast<long long>(n));
-      kernels::SetNumThreads(1);
-      row.serial_ms = TimeMs(reps, [&] { spec.libm(n, px, py); });
-      for (int64_t t : thread_counts) {
-        kernels::SetNumThreads(t);
-        row.per_thread_ms.emplace_back(t, TimeMs(reps, [&] {
-          spec.vec(n, px, py);
-        }));
-      }
-      *spec.headline = row.ThreadMs(1) > 0.0 ? row.serial_ms / row.ThreadMs(1)
-                                             : 0.0;
-      rows.push_back(row);
-    }
-  }
-
-  // --- Fused LayerNorm forward: vectorized moments vs the legacy rows -------
-  // Paper-shape rows (d=24): serial = legacy serial moments (CDCL_VEC_MATH=0)
-  // at one thread; per-thread = the virtual-lane vectorized kernel the fused
-  // sublayer nodes and ops::LayerNorm share.
-  {
-    const int64_t lrows = int64_t{1} << 16, ld = 24;
-    const std::vector<float> x = RandVec(lrows * ld, 11);
-    std::vector<float> o(static_cast<size_t>(lrows * ld));
-    std::vector<float> inv(static_cast<size_t>(lrows));
-    std::vector<float> hat(static_cast<size_t>(lrows * ld));
-    const std::vector<float> gamma = RandVec(ld, 12), beta = RandVec(ld, 13);
-    auto fwd = [&] {
-      kernels::LayerNormForwardRows(lrows, ld, x.data(), gamma.data(),
-                                    beta.data(), 1e-5f, o.data(), inv.data(),
-                                    hat.data());
-    };
-    BenchRow row;
-    row.op = "layernorm_fused";
-    row.size = StrFormat("%lldx%lld", static_cast<long long>(lrows),
-                         static_cast<long long>(ld));
-    kernels::SetNumThreads(1);
-    kernels::SetVecMath(false);
-    row.serial_ms = TimeMs(reps, fwd);
-    kernels::SetVecMath(true);
-    for (int64_t t : thread_counts) {
-      kernels::SetNumThreads(t);
-      row.per_thread_ms.emplace_back(t, TimeMs(reps, fwd));
-    }
-    kernels::SetVecMath(ambient_vec_math);
-    layernorm_fused_1t =
-        row.ThreadMs(1) > 0.0 ? row.serial_ms / row.ThreadMs(1) : 0.0;
-    rows.push_back(row);
-  }
-
   // --- Batched fused attention vs the per-sample eval loop ------------------
   // Paper-model eval shape: seq 16 tokens (image_hw=16 through the 2-layer
-  // tokenizer) at embed_dim 24 (ModelConfig::Small). Per-sample, every GEMM
-  // sits below the packed-SIMD work floor and runs on the scalar tile; the
-  // flattened (b*n, d) batched projections cross it, which is the fused
-  // path's headline win on the table benches.
+  // tokenizer) at embed_dim 24 (ModelConfig::Small). Per-sample, every
+  // projection is a separate 16-row GEMM with its own pack and dispatch; the
+  // flattened (b*n, d) batched projections pay those once per batch, which
+  // is the fused path's headline win on the table benches.
   {
     const int64_t ab = EnvInt("CDCL_BENCH_ATTN", 128), an = 16, ad = 24;
     Rng rng(7);
@@ -372,18 +269,9 @@ int main() {
   // The CDCL training hot path (ModelConfig::Small: 16x16x3 images through
   // the 2-layer tokenizer -> 16 tokens at d=24, 2 encoder layers, two-stream
   // cross-encoding): one full step of cross-encoding, three CE losses,
-  // backward and a fused AdamW update. The op row runs the seed training
-  // runtime exactly as PR 3 left it: op-by-op tape, heap storage, the PR-2
-  // work-floor-only GEMM auto dispatch (narrow-pack off), and libm
-  // transcendentals (vec-math off). The fused row runs the current training
-  // runtime: fused attention/FFN sublayer nodes with their pre-norm
-  // LayerNorms folded in, step arena, narrow-output packed-GEMM dispatch,
-  // and the vectorized transcendental tier — the defaults. Fusion and arena
-  // are bitwise-invisible (tests/arena_test.cc); narrow-pack runs the same
-  // per-element math on a different kernel tier (float-rounding-level
-  // difference); the vec-math tier is a numerics mode (polynomial
-  // exp/tanh/GELU, <= 2 ULP of libm; CDCL_VEC_MATH=0 restores the seed
-  // numerics exactly).
+  // backward and a fused AdamW update, on the default training runtime
+  // (fused sublayer nodes, step arena). The serial column is the 1-thread
+  // time, so the row's speedup is the step's thread scaling.
   {
     const int64_t tb = EnvInt("CDCL_BENCH_STEP_BATCH", 16);
     const int64_t classes = 4;
@@ -401,7 +289,7 @@ int main() {
     }
     Arena arena;
     auto step = [&] {
-      ArenaScope scope(&arena);  // no-op while the arena toggle is off
+      ArenaScope scope(&arena);
       auto enc = model.EncodeCross(xs, xt, 0);
       Tensor loss = ops::CrossEntropy(model.CilLogits(enc.z_source), labels);
       loss = ops::Add(loss, ops::CrossEntropy(model.CilLogits(enc.z_target),
@@ -412,56 +300,26 @@ int main() {
       opt.Step();
       opt.ZeroGrad();
     };
-    const std::string size = StrFormat("b%lld n16 d24 l2 x2streams",
-                                       static_cast<long long>(tb));
     std::vector<int64_t> step_threads = thread_counts;
     if (std::find(step_threads.begin(), step_threads.end(), int64_t{8}) ==
         step_threads.end()) {
       step_threads.push_back(8);
     }
-    BenchRow op_row, fused_row;
-    op_row.op = "train_step_op";
-    fused_row.op = "train_step_fused_arena";
-    op_row.size = fused_row.size = size;
-    auto seed_config = [] {
-      SetArenaEnabled(false);
-      nn::SetFusedTrain(false);
-      kernels::SetGemmNarrowPack(false);
-      kernels::SetVecMath(false);  // libm transcendentals: the seed numerics
-    };
-    auto fused_config = [] {
-      SetArenaEnabled(true);
-      nn::SetFusedTrain(true);
-      kernels::SetGemmNarrowPack(true);
-      kernels::SetVecMath(true);  // vectorized polynomial tier (the default)
-    };
-    // The two configurations are timed in alternation (best-of per side) so
-    // slow machine-level drift over the bench run cancels out of the ratio.
+    BenchRow row;
+    row.op = "train_step_fused_arena";
+    row.size = StrFormat("b%lld n16 d24 l2 x2streams",
+                         static_cast<long long>(tb));
     constexpr int64_t kStepsPerRep = 4;
     for (int64_t t : step_threads) {
       kernels::SetNumThreads(t);
-      double best_op = 0.0, best_fused = 0.0;
-      for (int64_t r = 0; r < 2 * reps; ++r) {
-        seed_config();
-        step();  // transition warm-up
-        Stopwatch op_timer;
+      step();  // warm-up
+      const double ms = TimeMs(reps, [&] {
         for (int64_t i = 0; i < kStepsPerRep; ++i) step();
-        const double op_ms = op_timer.ElapsedMillis() / kStepsPerRep;
-        if (r == 0 || op_ms < best_op) best_op = op_ms;
-        fused_config();
-        step();
-        Stopwatch fused_timer;
-        for (int64_t i = 0; i < kStepsPerRep; ++i) step();
-        const double fused_ms = fused_timer.ElapsedMillis() / kStepsPerRep;
-        if (r == 0 || fused_ms < best_fused) best_fused = fused_ms;
-      }
-      op_row.per_thread_ms.emplace_back(t, best_op);
-      fused_row.per_thread_ms.emplace_back(t, best_fused);
-      if (t == 1) op_row.serial_ms = fused_row.serial_ms = best_op;
+      }) / kStepsPerRep;
+      row.per_thread_ms.emplace_back(t, ms);
+      if (t == 1) row.serial_ms = ms;
     }
-    rows.push_back(op_row);
-    rows.push_back(fused_row);
-
+    rows.push_back(row);
   }
 
   // --- Elementwise: suffix-broadcast add ------------------------------------
@@ -541,7 +399,6 @@ int main() {
     rows.push_back(row);
   }
   kernels::SetNumThreads(0);
-  kernels::SetVecMath(ambient_vec_math);
 
   std::vector<std::string> header = {"op", "size", "serial ms"};
   for (int64_t t : thread_counts) {
@@ -589,43 +446,9 @@ int main() {
                 batched_attention_8t);
   }
 
-  // Headline numbers for the arena + fused training path: step throughput
-  // vs the seed's op-by-op heap training step at 1 and 8 threads (same
-  // shape, same per-element math).
-  double train_step_1t = 0.0, train_step_8t = 0.0;
-  {
-    double op1 = 0.0, fused1 = 0.0, op8 = 0.0, fused8 = 0.0;
-    for (const BenchRow& r : rows) {
-      if (r.op == "train_step_op") {
-        op1 = r.ThreadMs(1);
-        op8 = r.ThreadMs(8);
-      }
-      if (r.op == "train_step_fused_arena") {
-        fused1 = r.ThreadMs(1);
-        fused8 = r.ThreadMs(8);
-      }
-    }
-    if (op1 > 0.0 && fused1 > 0.0) train_step_1t = op1 / fused1;
-    if (op8 > 0.0 && fused8 > 0.0) train_step_8t = op8 / fused8;
-    std::printf(
-        "arena + fused training step vs seed op-by-op heap step: %.2fx "
-        "(1 thread), %.2fx (8 threads)\n",
-        train_step_1t, train_step_8t);
-  }
-
-  std::printf(
-      "vectorized transcendentals vs libm (1 thread): exp %.2fx, tanh %.2fx; "
-      "layernorm vectorized vs legacy rows: %.2fx\n",
-      vec_exp_1t, vec_tanh_1t, layernorm_fused_1t);
-
   Headlines headlines;
   headlines.packed_vs_blocked_1t = packed_vs_blocked;
   headlines.batched_attention_8t = batched_attention_8t;
-  headlines.train_step_fused_arena_1t = train_step_1t;
-  headlines.train_step_fused_arena_8t = train_step_8t;
-  headlines.vec_exp_1t = vec_exp_1t;
-  headlines.vec_tanh_1t = vec_tanh_1t;
-  headlines.layernorm_fused_1t = layernorm_fused_1t;
   WriteJson(out_path, rows, headlines);
   std::printf("report written to %s\n", out_path.c_str());
   return 0;

@@ -62,13 +62,6 @@ ctest --test-dir "${asan_dir}" --output-on-failure -j "${JOBS}" \
 echo "== ASan/UBSan: concurrency label (serve + serve-while-train + degradation + scheduler) =="
 ctest --test-dir "${asan_dir}" --output-on-failure -j "${JOBS}" -L concurrency
 
-echo "== legacy numerics mode: arena suite with CDCL_VEC_MATH=0 =="
-# The vectorized transcendental tier is a numerics mode; the libm mode must
-# stay a first-class citizen (bitwise trajectories, fused-vs-op equality,
-# arena lifetimes) or the CDCL_VEC_MATH=0 escape hatch rots.
-CDCL_VEC_MATH=0 ctest --test-dir "${asan_dir}" --output-on-failure \
-  -j "${JOBS}" -R '^arena_test$'
-
 echo "== region pool at 4 and 8 threads: concurrency label + batched-eval suite =="
 # With more than one kernel thread, pool workers really run region chunks,
 # even on a 1-core host. Any thread-local policy that does not travel with a
@@ -148,4 +141,4 @@ if [[ "${stale}" -ne 0 ]]; then
   exit 1
 fi
 
-echo "verify: OK (Debug + Release + examples + ASan/UBSan + fault matrix + legacy-numerics + 4/8-thread reruns + TSan + restore determinism + docs knobs)"
+echo "verify: OK (Debug + Release + examples + ASan/UBSan + fault matrix + 4/8-thread reruns + TSan + restore determinism + docs knobs)"

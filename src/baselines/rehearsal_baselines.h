@@ -23,7 +23,9 @@ namespace baselines {
 ///   kDerPp     DER++: logit MSE + CE on memory labels [4]
 ///   kHal       hindsight-anchor-style: ER + feature-anchor stability [8]
 ///   kMsl       supervised cross-domain CL [39], approximated as ER +
-///              class-prototype consistency (see DESIGN.md)
+///              class-prototype consistency (replayed features pulled to
+///              their batch class means, standing in for its cross-domain
+///              generalization term)
 enum class RehearsalMethod { kFinetune, kEr, kDer, kDerPp, kHal, kMsl };
 
 /// Loss weights for the replay terms.

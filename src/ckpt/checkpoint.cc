@@ -270,6 +270,40 @@ Status ParseCheckpoint(const std::vector<uint8_t>& bytes,
   return Status::Ok();
 }
 
+/// The meta section's class counts size the task heads RestoreTaskStructure
+/// builds, before the parameter check below can reject the file, so a
+/// CRC-valid forged count must be caught first. Each count must be the
+/// width of its task's stored TIL head and CIL block weights (registered as
+/// til_head.head<t> and cil_head.block<t>, see CompactTransformer), each
+/// `feature_dim` rows high and backed by its floats. Then no head the
+/// restore allocates is larger than a tensor the file holds, and the counts'
+/// sum is the stored CIL width.
+Status CheckClassCounts(const ParsedCheckpoint& parsed, int64_t feature_dim) {
+  std::map<std::string, const ParsedParam*> by_name;
+  for (const ParsedParam& p : parsed.params) by_name[p.name] = &p;
+  auto stored_width = [&by_name, feature_dim](const std::string& name) {
+    const auto it = by_name.find(name);
+    if (it == by_name.end()) return int64_t{-1};
+    const ParsedParam& p = *it->second;
+    const int64_t floats = static_cast<int64_t>(p.values.size());
+    if (p.dims.size() != 2 || p.dims[0] != feature_dim ||
+        floats % feature_dim != 0 || floats / feature_dim != p.dims[1]) {
+      return int64_t{-1};
+    }
+    return p.dims[1];
+  };
+  for (size_t t = 0; t < parsed.classes_per_task.size(); ++t) {
+    const int64_t classes = parsed.classes_per_task[t];
+    const std::string task = std::to_string(t);
+    if (stored_width("til_head.head" + task + ".weight") != classes ||
+        stored_width("cil_head.block" + task + ".weight") != classes) {
+      return Status::IoError("checkpoint: class count of task " + task +
+                             " does not match its stored heads");
+    }
+  }
+  return Status::Ok();
+}
+
 Status ApplyCheckpoint(const ParsedCheckpoint& parsed,
                        baselines::TrainerBase* trainer) {
   if (trainer->model().num_tasks() != 0 || trainer->tasks_seen() != 0) {
@@ -283,6 +317,8 @@ Status ApplyCheckpoint(const ParsedCheckpoint& parsed,
         "mismatch?)");
   }
 
+  CDCL_RETURN_NOT_OK(
+      CheckClassCounts(parsed, trainer->model().feature_dim()));
   trainer->RestoreTaskStructure(parsed.classes_per_task);
 
   auto named = trainer->mutable_model()->NamedParameters();

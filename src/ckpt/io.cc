@@ -198,6 +198,12 @@ Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
     return Status::IoError(ErrnoMessage("open " + path));
   }
   std::vector<uint8_t> bytes;
+  // Size the buffer once from the file length: growing it chunk by chunk
+  // would allocate up to twice the file.
+  struct stat st;
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    bytes.reserve(static_cast<size_t>(st.st_size));
+  }
   uint8_t buf[1 << 16];
   for (;;) {
     const ssize_t r = ::read(fd, buf, sizeof(buf));

@@ -10,8 +10,9 @@
 namespace cdcl {
 namespace data {
 
-/// Static description of one synthetic benchmark family (the stand-in for a
-/// paper dataset; see DESIGN.md section 2 for the substitution rationale).
+/// Static description of one synthetic benchmark family, the stand-in for a
+/// paper dataset: the real image sets are not bundled, so each family renders
+/// shared class structure under per-domain styles (data/domain.h).
 struct BenchmarkSpec {
   std::string family;                 // "digits", "office31", ...
   std::vector<std::string> domains;   // e.g. {"A", "D", "W"}

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "tensor/arena.h"
-#include "tensor/kernels/matmul_kernel.h"
 #include "tensor/tensor.h"
 #include "util/logging.h"
 
@@ -85,14 +84,6 @@ std::vector<CompletedResponse> InferenceEngine::Run(
   const int64_t d = model.feature_dim();
 
   if (const auto seam = LoadRunSeam()) seam(snapshot->version);
-
-  // Serving determinism contract: a response must not depend on which other
-  // requests happened to share its micro-batch. Kernel auto-dispatch is a
-  // pure function of shape, and the flattened eval GEMMs' row count scales
-  // with the batch — batch-invariant mode pins those choices to a nominal
-  // row count for every eval below (thread-local, so concurrent workers and
-  // unrelated training threads are unaffected).
-  kernels::BatchInvariantGemmScope invariant_dispatch;
 
   std::vector<CompletedResponse> out(batch.size());
   // Requests that validated, grouped by task id (the encode unit).

@@ -603,7 +603,7 @@ Tensor FusedFeedForwardTrain(const Tensor& x, const Tensor& w1,
 
   // a = gelu(h), saved for the W2 gradient.
   Tensor a = Tensor::Uninitialized(Shape{rows, hidden});
-  kernels::GeluMap(rows * hidden, h.data(), a.data());
+  kernels::GeluMapVec(rows * hidden, h.data(), a.data());
 
   // out = [residual +] (a W2 + b2): the output bias — and, when present, the
   // folded residual add (the op chain's trailing ops::Add, inner bias add
@@ -675,7 +675,7 @@ Tensor FusedFeedForwardTrain(const Tensor& x, const Tensor& w1,
 
     // GELU backward in place (uses the saved pre-activation), then the
     // hidden bias reduce.
-    kernels::GeluBackwardMap(rows * hidden, h.data(), g_a.data());
+    kernels::GeluGradMulMapVec(rows * hidden, h.data(), g_a.data());
     if (NeedsGrad(b1_impl)) {
       b1_impl->EnsureGrad();
       kernels::BiasGradReduce(rows * hidden, hidden, g_a.data(),
@@ -732,7 +732,7 @@ Tensor FusedFeedForwardLayerTrain(const Tensor& x_raw, const Tensor& ln_gamma,
                   /*accumulate=*/false);
   kernels::BiasAddMap(rows * hidden, hidden, h.data(), b1.data());
   Tensor a = Tensor::Uninitialized(Shape{rows, hidden});
-  kernels::GeluMap(rows * hidden, h.data(), a.data());
+  kernels::GeluMapVec(rows * hidden, h.data(), a.data());
 
   // out = [residual +] (a W2 + b2) in one fused epilogue pass.
   std::vector<int64_t> out_dims = x_raw.shape().dims();
@@ -803,7 +803,7 @@ Tensor FusedFeedForwardLayerTrain(const Tensor& x_raw, const Tensor& ln_gamma,
     if (!a_rg) return;
 
     // GELU backward in place, then the hidden bias reduce.
-    kernels::GeluBackwardMap(rows * hidden, h.data(), g_a.data());
+    kernels::GeluGradMulMapVec(rows * hidden, h.data(), g_a.data());
     if (NeedsGrad(b1_impl)) {
       b1_impl->EnsureGrad();
       kernels::BiasGradReduce(rows * hidden, hidden, g_a.data(),

@@ -19,33 +19,19 @@ void BiasAddMap(int64_t n, int64_t period, float* x, const float* bias) {
 }
 
 void BiasGeluMap(int64_t n, int64_t period, float* x, const float* bias) {
-  if (VecMathEnabled()) {
-    // One chunked pass: add the bias into the chunk (incremental j wrap,
-    // like BroadcastMap), then run the SIMD GELU sweep over that same
-    // still-hot chunk. Per element gelu(x + bias) — the same values as the
-    // legacy single-loop form below (and as ops::Add followed by ops::Gelu).
-    if (period <= 1) {
-      ParallelChunks(n, kEltwiseGrain, [x, bias](int64_t begin, int64_t end) {
-        const float b0 = bias[0];
-        for (int64_t i = begin; i < end; ++i) x[i] = x[i] + b0;
-        GeluPs(end - begin, x + begin, x + begin);
-      });
-      return;
-    }
-    ParallelChunks(n, kEltwiseGrain,
-                   [x, bias, period](int64_t begin, int64_t end) {
-                     int64_t j = begin % period;
-                     for (int64_t i = begin; i < end; ++i) {
-                       x[i] = x[i] + bias[j];
-                       if (++j == period) j = 0;
-                     }
-                     GeluPs(end - begin, x + begin, x + begin);
-                   });
-    return;
-  }
-  BroadcastMap(n, period, [x, bias](int64_t i, int64_t j) {
-    x[i] = GeluApprox(x[i] + bias[j]);
-  });
+  // One chunked pass: add the bias into the chunk (incremental j wrap, like
+  // BroadcastMap), then run the SIMD GELU sweep over that same still-hot
+  // chunk. Per element gelu(x + bias) — the same values as ops::Add followed
+  // by ops::Gelu.
+  ParallelChunks(n, kEltwiseGrain,
+                 [x, bias, period](int64_t begin, int64_t end) {
+                   int64_t j = begin % period;
+                   for (int64_t i = begin; i < end; ++i) {
+                     x[i] = x[i] + bias[j];
+                     if (++j == period) j = 0;
+                   }
+                   GeluPs(end - begin, x + begin, x + begin);
+                 });
 }
 
 void SoftmaxRows(int64_t rows, int64_t n, float* x) {

@@ -1,30 +1,9 @@
 #include "tensor/kernels/fused_train.h"
 
 #include "tensor/kernels/parallel.h"
-#include "tensor/kernels/scalar_math.h"
-#include "tensor/kernels/vec_math.h"
 
 namespace cdcl {
 namespace kernels {
-
-void GeluMap(int64_t n, const float* src, float* dst) {
-  if (VecMathEnabled()) {
-    // SIMD sweep of the same chain GeluApprox evaluates per element.
-    GeluMapVec(n, src, dst);
-    return;
-  }
-  EltwiseMap(n, [src, dst](int64_t i) { dst[i] = GeluApprox(src[i]); });
-}
-
-void GeluBackwardMap(int64_t n, const float* pre, float* g) {
-  if (VecMathEnabled()) {
-    GeluGradMulMapVec(n, pre, g);
-    return;
-  }
-  EltwiseMap(n, [pre, g](int64_t i) {
-    g[i] = 0.0f + g[i] * GeluApproxGrad(pre[i]);
-  });
-}
 
 void SoftmaxBackwardRows(int64_t rows, int64_t n, const float* y, float* g) {
   RowMap(rows, n, [y, g, n](int64_t r) {

@@ -8,8 +8,9 @@ namespace kernels {
 
 // ---------------------------------------------------------------------------
 // Fused training-path epilogues: the forward halves reuse fused_eval.h /
-// scalar_math.h; these are the matching *backward* sweeps consumed by the
-// hand-written closures in tensor/fused_train.cc.
+// scalar_math.h / vec_math.h (GeluMapVec, whose backward is
+// GeluGradMulMapVec); these are the matching *backward* sweeps consumed by
+// the hand-written closures in tensor/fused_train.cc.
 //
 // Bitwise contract: each entry point performs, per element, the same float
 // operations in the same order as the op-by-op tape backward it replaces
@@ -20,17 +21,6 @@ namespace kernels {
 // result (training trajectories bitwise vs the op path); gradcheck_test.cc
 // pins correctness of the derivatives themselves.
 // ---------------------------------------------------------------------------
-
-/// Forward GELU map: dst[i] = gelu(src[i]) (the ops::Gelu forward sweep).
-/// Runs the vectorized GELU tier (vec_math.h) in vec-math mode, the legacy
-/// per-element libm chain otherwise — bitwise equal to GeluApprox per
-/// element in both modes.
-void GeluMap(int64_t n, const float* src, float* dst);
-
-/// In-place GELU backward: g[i] = 0.0f + g[i] * gelu'(pre[i]), where `pre`
-/// holds the saved pre-activation values (the ops::Gelu backward sweep onto
-/// a zeroed grad). Same two-mode dispatch as GeluMap.
-void GeluBackwardMap(int64_t n, const float* pre, float* g);
 
 /// In-place softmax backward over `rows` rows of width `n`: with y the saved
 /// softmax outputs, g[j] = y[j] * (g[j] - dot(g_row, y_row)) per row (the

@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "tensor/kernels/matmul_kernel.h"
 #include "util/env.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -23,27 +22,17 @@ int64_t HardwareThreads() {
   return std::max<int64_t>(1, std::thread::hardware_concurrency());
 }
 
-/// Sets the nested-region flag and installs the launcher's batch-invariant
-/// GEMM policy for one chunk; restores both even if the chunk body throws.
-/// The policy is thread-local, so without this a GemmNN inside a chunk would
-/// pick its kernel from the real m on a pool worker but from the nominal m on
-/// the launcher, and a result would depend on which thread ran its chunk.
+/// Sets the nested-region flag for one chunk; restores it even if the chunk
+/// body throws.
 class RegionGuard {
  public:
-  explicit RegionGuard(bool batch_invariant_gemm)
-      : previous_(tl_in_parallel_region),
-        previous_invariant_(BatchInvariantGemmEnabled()) {
+  RegionGuard() : previous_(tl_in_parallel_region) {
     tl_in_parallel_region = true;
-    SetBatchInvariantGemm(batch_invariant_gemm);
   }
-  ~RegionGuard() {
-    tl_in_parallel_region = previous_;
-    SetBatchInvariantGemm(previous_invariant_);
-  }
+  ~RegionGuard() { tl_in_parallel_region = previous_; }
 
  private:
   bool previous_;
-  bool previous_invariant_;
 };
 
 /// Spin budget before a waiting worker yields and then parks. On a
@@ -63,7 +52,6 @@ struct RegionState {
   const std::function<void(int64_t, int64_t)>* chunk = nullptr;
   int64_t n = 0;
   int64_t grain = 1;
-  bool batch_invariant_gemm = false;  // the launcher's dispatch policy
   std::mutex error_mutex;
   std::exception_ptr error;  // first failure wins
 };
@@ -75,7 +63,7 @@ struct RegionState {
 /// stop running chunk bodies (it retires any further claims unrun).
 bool RunRegionChunk(void* ctx, int64_t c) {
   RegionState* state = static_cast<RegionState*>(ctx);
-  RegionGuard guard(state->batch_invariant_gemm);
+  RegionGuard guard;
   try {
     const int64_t begin = c * state->grain;
     (*state->chunk)(begin, std::min(state->n, begin + state->grain));
@@ -185,7 +173,6 @@ void ParallelChunks(int64_t n, int64_t grain,
   state.chunk = &chunk;
   state.n = n;
   state.grain = grain;
-  state.batch_invariant_gemm = BatchInvariantGemmEnabled();
 
   // Entering the region is a single epoch publish; every participant
   // (workers + this caller, inside JoinRegion) pulls chunk indices off the

@@ -80,8 +80,9 @@ inline constexpr int64_t kEltwiseGrain = 8192;
 /// Fixed reduction grain; must never depend on the thread count.
 inline constexpr int64_t kReduceGrain = 8192;
 /// Rows of a GEMM output partitioned across workers. A common multiple of
-/// every register-block height in play (8x32 scalar tile, 4-row NT/TN,
-/// 6-row AVX2 packed tile) so only the final chunk sees row tails.
+/// every register-block height in play (8x32 scalar tile, 4-row TN, 6-row
+/// AVX2 and 8-row AVX-512 packed tiles) so only the final chunk sees row
+/// tails. Tails cost speed only: every element is the same fma chain.
 inline constexpr int64_t kGemmRowGrain = 48;
 
 /// Grain for row-wise ops (softmax/layernorm/losses) with rows of `width`

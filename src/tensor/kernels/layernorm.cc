@@ -3,13 +3,12 @@
 #include <cmath>
 
 #include "tensor/kernels/parallel.h"
-#include "tensor/kernels/vec_math.h"
 
 namespace cdcl {
 namespace kernels {
 namespace {
 
-/// Virtual lane count for the vec-math row moments. One portable definition
+/// Virtual lane count for the row moments. One portable definition
 /// (the compiler vectorizes the fixed-width inner loop), so the accumulation
 /// order depends only on the row width — never on the ISA or thread count.
 constexpr int64_t kMomentLanes = 8;
@@ -53,26 +52,10 @@ inline float LaneSumSq(const float* xr, int64_t d, float mean) {
 void LayerNormForwardRows(int64_t rows, int64_t d, const float* x,
                           const float* gamma, const float* beta, float eps,
                           float* out, float* inv_std, float* xhat) {
-  const bool vec = VecMathEnabled();
   RowMap(rows, d, [=](int64_t r) {
     const float* xr = x + r * d;
-    float mean;
-    float var;
-    if (vec) {
-      mean = LaneSum(xr, d) / static_cast<float>(d);
-      var = LaneSumSq(xr, d, mean) / static_cast<float>(d);
-    } else {
-      // Legacy serial moments: the exact pre-tier numerics.
-      mean = 0.0f;
-      for (int64_t j = 0; j < d; ++j) mean += xr[j];
-      mean /= static_cast<float>(d);
-      var = 0.0f;
-      for (int64_t j = 0; j < d; ++j) {
-        const float c = xr[j] - mean;
-        var += c * c;
-      }
-      var /= static_cast<float>(d);
-    }
+    const float mean = LaneSum(xr, d) / static_cast<float>(d);
+    const float var = LaneSumSq(xr, d, mean) / static_cast<float>(d);
     const float istd = 1.0f / std::sqrt(var + eps);
     if (inv_std != nullptr) inv_std[r] = istd;
     // `h` is computed in a register either way, so skipping the xhat stores

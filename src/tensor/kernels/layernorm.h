@@ -12,21 +12,18 @@ namespace kernels {
 // the row arithmetic, so the two paths cannot drift (the same sharing rule
 // as scalar_math.h).
 //
-// Forward numerics: in vec-math mode (VecMathEnabled()) the row mean and
-// variance accumulate in eight fixed "virtual lanes" combined by a fixed
-// pairwise tree — one portable definition the compiler vectorizes, so the
-// summation order is a pure function of the row width (bitwise identical
-// across ISA tiers and thread counts). With CDCL_VEC_MATH=0 the moments run
-// the legacy serial accumulation — the exact pre-tier numerics. The
-// normalize-scale-shift pass and 1/sqrt(var + eps) are identical in both
-// modes (sqrt and the elementwise ops are exactly rounded, so they carry no
-// mode or tier dependence).
+// Forward numerics: the row mean and variance accumulate in eight fixed
+// "virtual lanes" combined by a fixed pairwise tree — one portable
+// definition the compiler vectorizes, so the summation order is a pure
+// function of the row width (bitwise identical across ISA tiers and thread
+// counts). The normalize-scale-shift pass and 1/sqrt(var + eps) are exactly
+// rounded elementwise ops, so they carry no tier dependence.
 //
-// Backward numerics are mode-independent and replicate the original op
-// backward exactly: per-row input gradients are row-local (RowMap), and the
-// gamma/beta reductions sweep rows in ascending order per slot
-// (BroadcastReduce decomposition), i.e. the same per-slot accumulation order
-// as the original serial row loop — bitwise identical at any thread count.
+// Backward numerics replicate the original op backward exactly: per-row
+// input gradients are row-local (RowMap), and the gamma/beta reductions
+// sweep rows in ascending order per slot (BroadcastReduce decomposition),
+// i.e. the same per-slot accumulation order as the original serial row
+// loop — bitwise identical at any thread count.
 // ---------------------------------------------------------------------------
 
 /// Forward over `rows` rows of width `d`:

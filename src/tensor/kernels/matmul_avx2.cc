@@ -1,8 +1,8 @@
-// AVX2/FMA micro-kernels for the SIMD GEMM paths. This file is the only TU
-// compiled with -mavx2 -mfma (see CMakeLists.txt); it must be entered only
-// after a runtime Avx2Available() check so the binary stays runnable on
-// baseline x86-64. Packing, dispatch and the scalar fallbacks live in
-// matmul_kernel.cc.
+// AVX2/FMA micro-kernels for the SIMD GEMM paths (packed NN, which NT also
+// runs, and TN). This file is the only TU compiled with -mavx2 -mfma (see
+// CMakeLists.txt); it must be entered only after a runtime Avx2Available()
+// check so the binary stays runnable on baseline x86-64. Packing, dispatch
+// and the scalar fallbacks live in matmul_kernel.cc.
 
 #include "tensor/kernels/matmul_internal.h"
 #include "util/prefetch.h"
@@ -15,6 +15,7 @@
 #endif
 
 #include <algorithm>
+#include <cmath>
 
 namespace cdcl {
 namespace kernels {
@@ -108,62 +109,6 @@ void RowBlockNN(int64_t n, int64_t k, const float* a, int64_t lda,
 }
 
 // ---------------------------------------------------------------------------
-// NT: MR x NR block of row-row dot products, vector k lanes reduced in a
-// fixed tree order (Sum8) plus an in-order scalar k tail.
-// ---------------------------------------------------------------------------
-
-/// Sums the 8 lanes of v with a fixed reduction tree.
-inline float Sum8(__m256 v) {
-  __m128 s = _mm_add_ps(_mm256_castps256_ps128(v),
-                        _mm256_extractf128_ps(v, 1));
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-  return _mm_cvtss_f32(s);
-}
-
-/// MR <= 3, NR <= 4: 12 accumulators + MR A lanes + 1 B lane <= 16 YMM.
-template <int MR, int NR>
-inline void MicroNT(int64_t k, const float* a, int64_t lda, const float* b,
-                    int64_t ldb, float* c, int64_t ldc, bool accumulate) {
-  __m256 acc[MR][NR];
-  for (int r = 0; r < MR; ++r) {
-    for (int j = 0; j < NR; ++j) acc[r][j] = _mm256_setzero_ps();
-  }
-  const int64_t kv = k & ~int64_t{7};
-  for (int64_t l = 0; l < kv; l += 8) {
-    __m256 av[MR];
-    for (int r = 0; r < MR; ++r) av[r] = _mm256_loadu_ps(a + r * lda + l);
-    for (int j = 0; j < NR; ++j) {
-      const __m256 bv = _mm256_loadu_ps(b + j * ldb + l);
-      for (int r = 0; r < MR; ++r) {
-        acc[r][j] = _mm256_fmadd_ps(av[r], bv, acc[r][j]);
-      }
-    }
-  }
-  for (int r = 0; r < MR; ++r) {
-    for (int j = 0; j < NR; ++j) {
-      float s = Sum8(acc[r][j]);
-      for (int64_t l = kv; l < k; ++l) s += a[r * lda + l] * b[j * ldb + l];
-      float* cp = c + r * ldc + j;
-      *cp = accumulate ? *cp + s : s;
-    }
-  }
-}
-
-template <int MR>
-void RowBlockNT(int64_t n, int64_t k, const float* a, int64_t lda,
-                const float* b, int64_t ldb, float* c, int64_t ldc,
-                bool accumulate) {
-  int64_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    MicroNT<MR, 4>(k, a, lda, b + j * ldb, ldb, c + j, ldc, accumulate);
-  }
-  for (; j < n; ++j) {
-    MicroNT<MR, 1>(k, a, lda, b + j * ldb, ldb, c + j, ldc, accumulate);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // TN: MR x kPanel tile held in registers across the whole k sweep; A columns
 // are broadcast-loaded (stride m), B rows stream contiguously.
 // ---------------------------------------------------------------------------
@@ -194,8 +139,8 @@ inline void MicroTN(int64_t k, const float* acol, int64_t stride_a,
   }
 }
 
-/// Column tail (< kPanel): same k-ascending per-element order via a small
-/// stack tile the compiler is free to vectorize.
+/// Column tail (< kPanel): the same per-element fma chain via a small stack
+/// tile (explicit std::fma, so contraction cannot change it).
 template <int MR>
 void TailTN(int64_t k, const float* acol, int64_t stride_a, const float* b,
             int64_t ldb, float* c, int64_t ldc, int64_t ncols,
@@ -210,7 +155,9 @@ void TailTN(int64_t k, const float* acol, int64_t stride_a, const float* b,
     const float* brow = b + l * ldb;
     for (int r = 0; r < MR; ++r) {
       const float av = acol[l * stride_a + r];
-      for (int64_t t = 0; t < ncols; ++t) s[r][t] += av * brow[t];
+      for (int64_t t = 0; t < ncols; ++t) {
+        s[r][t] = std::fma(av, brow[t], s[r][t]);
+      }
     }
   }
   for (int r = 0; r < MR; ++r) {
@@ -251,23 +198,6 @@ bool Avx2GemmNNPacked(int64_t r0, int64_t r1, int64_t n, int64_t k,
   return true;
 }
 
-bool Avx2GemmNT(int64_t r0, int64_t r1, int64_t n, int64_t k, const float* a,
-                const float* b, float* c, bool accumulate) {
-  constexpr int64_t kMr = 3;
-  int64_t i = r0;
-  for (; i + kMr <= r1; i += kMr) {
-    RowBlockNT<3>(n, k, a + i * k, k, b, k, c + i * n, n, accumulate);
-  }
-  const float* ar = a + i * k;
-  float* cr = c + i * n;
-  switch (r1 - i) {
-    case 2: RowBlockNT<2>(n, k, ar, k, b, k, cr, n, accumulate); break;
-    case 1: RowBlockNT<1>(n, k, ar, k, b, k, cr, n, accumulate); break;
-    default: break;
-  }
-  return true;
-}
-
 bool Avx2GemmTN(int64_t r0, int64_t r1, int64_t m, int64_t n, int64_t k,
                 const float* a, const float* b, float* c, bool accumulate) {
   constexpr int64_t kMr = 4;
@@ -288,10 +218,6 @@ bool Avx2GemmTN(int64_t r0, int64_t r1, int64_t m, int64_t n, int64_t k,
 
 bool Avx2GemmNNPacked(int64_t, int64_t, int64_t, int64_t, const float*,
                       const float*, float*, bool) {
-  return false;
-}
-bool Avx2GemmNT(int64_t, int64_t, int64_t, int64_t, const float*, const float*,
-                float*, bool) {
   return false;
 }
 bool Avx2GemmTN(int64_t, int64_t, int64_t, int64_t, int64_t, const float*,

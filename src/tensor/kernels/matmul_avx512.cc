@@ -1,9 +1,10 @@
-// AVX-512F micro-kernel for the packed-B NN GEMM tier. Compiled with
-// -mavx512f (see CMakeLists.txt) and entered only after a runtime
-// Avx512Available() check. The NT/TN SIMD paths stay on the AVX2 tier —
-// their dot/axpy shapes gain little from wider lanes, while the NN tile
-// doubles its per-iteration FMA width here (8 rows x 32 columns in ZMM
-// registers: 16 accumulators + 2 B lanes + 1 broadcast of 32 available).
+// AVX-512F micro-kernel for the packed-B GEMM tier (NN, and NT through the
+// transposing pack). Compiled with -mavx512f (see CMakeLists.txt) and
+// entered only after a runtime Avx512Available() check. The TN SIMD path
+// stays on the AVX2 tier — its axpy shape gains little from wider lanes,
+// while the packed tile doubles its per-iteration FMA width here (8 rows x
+// 32 columns in ZMM registers: 16 accumulators + 2 B lanes + 1 broadcast of
+// 32 available).
 
 #include "tensor/kernels/matmul_internal.h"
 #include "util/prefetch.h"

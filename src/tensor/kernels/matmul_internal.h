@@ -35,11 +35,16 @@ bool Avx2Available();
 /// dispatch still checks each independently).
 bool Avx512Available();
 
+/// The tiers the GEMM and vec-math dispatchers may use: what the CPU and
+/// build support, capped by SetIsaCap (matmul_kernel.h).
+bool UseAvx2();
+bool UseAvx512();
+
 // Row-range workers: each computes C rows [r0, r1) and is called from inside
-// a ParallelChunks region, so per-element arithmetic must not depend on the
-// chunk boundaries (it does not: panel/k-block/lane structure is fixed by
-// the shape alone). All return false when this TU was built without AVX2
-// support; callers must then run the scalar path instead.
+// a ParallelChunks region. Every output element is one ascending-k fma
+// chain (matmul_kernel.h), so neither the chunk boundaries nor the tile
+// geometry show in the results. All return false when this TU was built
+// without AVX2 support; callers must then run the scalar path instead.
 bool Avx2GemmNNPacked(int64_t r0, int64_t r1, int64_t n, int64_t k,
                       const float* a, const float* packed_b, float* c,
                       bool accumulate);
@@ -47,8 +52,6 @@ bool Avx2GemmNNPacked(int64_t r0, int64_t r1, int64_t n, int64_t k,
 bool Avx512GemmNNPacked(int64_t r0, int64_t r1, int64_t n, int64_t k,
                         const float* a, const float* packed_b, float* c,
                         bool accumulate);
-bool Avx2GemmNT(int64_t r0, int64_t r1, int64_t n, int64_t k, const float* a,
-                const float* b, float* c, bool accumulate);
 bool Avx2GemmTN(int64_t r0, int64_t r1, int64_t m, int64_t n, int64_t k,
                 const float* a, const float* b, float* c, bool accumulate);
 

@@ -2,7 +2,6 @@
 #define CDCL_TENSOR_KERNELS_SCALAR_MATH_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 
 #include "tensor/kernels/vec_math.h"
@@ -11,77 +10,29 @@ namespace cdcl {
 namespace kernels {
 
 // ---------------------------------------------------------------------------
-// Per-element / per-row math shared by the op-by-op tensor path
-// (tensor_ops.cc), the fused inference path (fused_eval.cc) and the fused
-// training path (fused_train.cc). Every side MUST call these same functions:
+// Per-row math shared by the op-by-op tensor path (tensor_ops.cc), the fused
+// inference path (fused_eval.cc) and the fused training path
+// (fused_train.cc); the per-element GELU chains are GeluPsScalar /
+// GeluGradPsScalar in vec_math.h. Every side MUST call these same functions:
 // the fused paths' bitwise-equivalence contract holds only while the
 // per-element arithmetic cannot drift between copies
 // (tests/batched_eval_test.cc and tests/arena_test.cc enforce the result).
-//
-// Each helper has two numerics modes, switched by VecMathEnabled()
-// (CDCL_VEC_MATH): the vectorized polynomial tier of vec_math.h (default)
-// and the legacy libm expressions (mode off — the exact pre-tier numerics).
-// The mode changes *values*; every bitwise contract holds within a mode.
 // ---------------------------------------------------------------------------
-
-/// The legacy (libm) GELU value chain — the exact pre-tier arithmetic. Hot
-/// loops that hoist the VecMathEnabled() branch pair this directly with
-/// GeluPsScalar; everything else goes through GeluApprox below.
-inline float GeluApproxLegacy(float x) {
-  constexpr float kC = 0.7978845608f;  // sqrt(2/pi)
-  const float t = std::tanh(kC * (x + 0.044715f * x * x * x));
-  return 0.5f * x * (1.0f + t);
-}
-
-/// The legacy (libm) GELU derivative chain.
-inline float GeluApproxGradLegacy(float x) {
-  constexpr float kC = 0.7978845608f;  // sqrt(2/pi)
-  const float u = kC * (x + 0.044715f * x * x * x);
-  const float t = std::tanh(u);
-  const float sech2 = 1.0f - t * t;
-  const float du = kC * (1.0f + 3.0f * 0.044715f * x * x);
-  return 0.5f * (1.0f + t) + 0.5f * x * sech2 * du;
-}
-
-/// tanh-approximation GELU, the forward arithmetic of ops::Gelu. This is the
-/// single definition of the GELU value math: the buffer kernels (GeluPs /
-/// GeluMapVec) evaluate the identical chain, so per-element and swept
-/// evaluation agree bit for bit.
-inline float GeluApprox(float x) {
-  return VecMathEnabled() ? GeluPsScalar(x) : GeluApproxLegacy(x);
-}
-
-/// d/dx of GeluApprox, the backward arithmetic of ops::Gelu (also used by the
-/// fused training FFN epilogue backward in fused_train.cc). Single definition
-/// like GeluApprox (buffer form: GeluGradPs).
-inline float GeluApproxGrad(float x) {
-  return VecMathEnabled() ? GeluGradPsScalar(x) : GeluApproxGradLegacy(x);
-}
 
 /// One softmax row y = softmax(x) (max-shifted exp, float accumulation,
 /// single reciprocal), the row arithmetic of ops::Softmax. In-place use
-/// (y == x) is fine. Vec-math mode runs the shifted row through the ExpPs
-/// sweep (SIMD over the row body, same chain on the tail) and then the same
-/// serial sum + reciprocal scale; the per-element exp values, the summation
-/// order and the scale are each identical to a scalar sweep, so results stay
-/// bitwise thread- and tier-invariant.
+/// (y == x) is fine. The shifted row runs through the ExpPs sweep (SIMD over
+/// the row body, same chain on the tail), then a serial sum and reciprocal
+/// scale; the per-element exp values, the summation order and the scale are
+/// each identical to a scalar sweep, so results stay bitwise thread- and
+/// tier-invariant.
 inline void SoftmaxRow(const float* x, float* y, int64_t n) {
   float mx = x[0];
   for (int64_t j = 1; j < n; ++j) mx = std::max(mx, x[j]);
-  if (VecMathEnabled()) {
-    for (int64_t j = 0; j < n; ++j) y[j] = x[j] - mx;
-    ExpPs(n, y, y);
-    float z = 0.0f;
-    for (int64_t j = 0; j < n; ++j) z += y[j];
-    const float inv = 1.0f / z;
-    for (int64_t j = 0; j < n; ++j) y[j] *= inv;
-    return;
-  }
+  for (int64_t j = 0; j < n; ++j) y[j] = x[j] - mx;
+  ExpPs(n, y, y);
   float z = 0.0f;
-  for (int64_t j = 0; j < n; ++j) {
-    y[j] = std::exp(x[j] - mx);
-    z += y[j];
-  }
+  for (int64_t j = 0; j < n; ++j) z += y[j];
   const float inv = 1.0f / z;
   for (int64_t j = 0; j < n; ++j) y[j] *= inv;
 }

@@ -1,55 +1,26 @@
 #include "tensor/kernels/vec_math.h"
 
-#include <atomic>
-
 #include "tensor/kernels/kernel_context.h"
 #include "tensor/kernels/matmul_internal.h"
 #include "tensor/kernels/vec_math_internal.h"
-#include "util/env.h"
 
 namespace cdcl {
 namespace kernels {
 namespace {
 
-std::atomic<int> g_vec_math{-1};  // -1 = unresolved (consult env once)
-std::atomic<int> g_vec_isa{0};    // VecMathIsa::kAuto
-
-/// Resolves the forced/auto tier against what the CPU and build support.
-VecMathIsa ResolveIsa() {
-  switch (GetVecMathIsa()) {
-    case VecMathIsa::kScalar:
-      return VecMathIsa::kScalar;
-    case VecMathIsa::kAvx512:
-      return internal::Avx512Available() ? VecMathIsa::kAvx512
-                                         : VecMathIsa::kScalar;
-    case VecMathIsa::kAvx2:
-      return internal::Avx2Available() ? VecMathIsa::kAvx2
-                                       : VecMathIsa::kScalar;
-    case VecMathIsa::kAuto:
-    default:
-      if (internal::Avx512Available()) return VecMathIsa::kAvx512;
-      if (internal::Avx2Available()) return VecMathIsa::kAvx2;
-      return VecMathIsa::kScalar;
-  }
-}
-
 using SimdSweep = int64_t (*)(int64_t, const float*, float*);
 using ScalarChain = float (*)(float);
 
-/// Shared dispatch skeleton: SIMD body on the resolved tier, scalar chain on
-/// the tail (bitwise identical per element, so the split is invisible).
+/// Shared dispatch skeleton: SIMD body on the widest tier the ISA cap
+/// allows, scalar chain on the tail (bitwise identical per element, so the
+/// split is invisible).
 inline void Sweep(int64_t n, const float* x, float* y, SimdSweep avx512,
                   SimdSweep avx2, ScalarChain scalar) {
   int64_t i = 0;
-  switch (ResolveIsa()) {
-    case VecMathIsa::kAvx512:
-      i = avx512(n, x, y);
-      break;
-    case VecMathIsa::kAvx2:
-      i = avx2(n, x, y);
-      break;
-    default:
-      break;
+  if (internal::UseAvx512()) {
+    i = avx512(n, x, y);
+  } else if (internal::UseAvx2()) {
+    i = avx2(n, x, y);
   }
   for (; i < n; ++i) y[i] = scalar(x[i]);
 }
@@ -59,27 +30,6 @@ inline void Sweep(int64_t n, const float* x, float* y, SimdSweep avx512,
 constexpr int64_t kVecBlock = 256;
 
 }  // namespace
-
-bool VecMathEnabled() {
-  int state = g_vec_math.load(std::memory_order_relaxed);
-  if (state < 0) {
-    state = EnvBool("CDCL_VEC_MATH", true) ? 1 : 0;
-    g_vec_math.store(state, std::memory_order_relaxed);
-  }
-  return state == 1;
-}
-
-void SetVecMath(bool enabled) {
-  g_vec_math.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-void SetVecMathIsa(VecMathIsa isa) {
-  g_vec_isa.store(static_cast<int>(isa), std::memory_order_relaxed);
-}
-
-VecMathIsa GetVecMathIsa() {
-  return static_cast<VecMathIsa>(g_vec_isa.load(std::memory_order_relaxed));
-}
 
 void ExpPs(int64_t n, const float* x, float* y) {
   Sweep(n, x, y, internal::VecExpAvx512, internal::VecExpAvx2, ExpPsScalar);

@@ -25,26 +25,15 @@ namespace kernels {
 // the correctly rounded result (see docs/kernels.md "Vectorized
 // transcendentals" for the derivation and the measured bounds).
 //
-// Mode switch: `CDCL_VEC_MATH=0` (or SetVecMath(false)) restores the libm
-// scalar loops everywhere — the exact pre-tier numerics. Consumers branch
-// once per row/buffer on VecMathEnabled(); the polynomial tier and the libm
-// tier are distinct numerics modes, and all bitwise guarantees (op path vs
-// fused path, thread counts, GEMM kernels, arena) hold *within* each mode.
+// These chains are the only transcendental numerics in the kernels: every
+// exp/tanh/GELU of the op path, the fused paths and the losses runs them.
+// The buffer kernels dispatch on the same ISA cap as the GEMMs
+// (SetIsaCap, matmul_kernel.h).
 //
 // The scalar reference chain assumes the default round-to-nearest-even FP
 // environment (the only mode the project runs in); the magic-number rounding
 // trick below bakes that assumption in on every tier equally.
 // ---------------------------------------------------------------------------
-
-/// Vec-math mode: SetVecMath() wins, else CDCL_VEC_MATH (default on).
-bool VecMathEnabled();
-void SetVecMath(bool enabled);
-
-/// Forces a dispatch tier (tests/benches only; kAuto = widest available).
-/// Tiers are bitwise identical, so this is observability, not numerics.
-enum class VecMathIsa { kAuto = 0, kScalar = 1, kAvx2 = 2, kAvx512 = 3 };
-void SetVecMathIsa(VecMathIsa isa);
-VecMathIsa GetVecMathIsa();
 
 // -- Shared polynomial definition -------------------------------------------
 // Constants are shared verbatim by the scalar chain and the SIMD TUs
@@ -77,7 +66,7 @@ inline constexpr float kTanhP2 = -5.37397155531e-2f;
 inline constexpr float kTanhP3 = 1.33314422036e-1f;
 inline constexpr float kTanhP4 = -3.33332819422e-1f;
 
-// gelu (tanh approximation, same kC/kB as the legacy scalar_math arithmetic):
+// gelu (tanh approximation):
 // gelu(x) = (0.5 x) * (1 + tanh(kC * (x + kB x^3))).
 inline constexpr float kGeluC = 0.7978845608f;  // sqrt(2/pi)
 inline constexpr float kGeluB = 0.044715f;
@@ -177,9 +166,8 @@ inline float GeluGradPsScalar(float x) {
 }
 
 // -- Buffer kernels (serial; safe inside parallel regions) -------------------
-// ISA-dispatched sweeps: widest available SIMD tier over the body, scalar
-// chain over the tail. Always the polynomial path — callers branch on
-// VecMathEnabled() themselves (SoftmaxRow, GeluMap, ...).
+// ISA-dispatched sweeps: widest allowed SIMD tier over the body, scalar
+// chain over the tail.
 
 /// y[i] = exp(x[i]) for i in [0, n). In place (y == x) is fine.
 void ExpPs(int64_t n, const float* x, float* y);

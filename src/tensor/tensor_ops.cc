@@ -189,14 +189,13 @@ Tensor Relu(const Tensor& a) {
 
 Tensor Gelu(const Tensor& a) {
   // tanh approximation of GELU; forward and derivative shared with the fused
-  // eval/train epilogues (kernels/scalar_math.h, vectorized tier in
-  // kernels/vec_math.h) so the paths cannot drift. The forward runs the
-  // buffer sweep (SIMD over the body in vec-math mode); the backward's
-  // per-element GeluApproxGrad evaluates the identical chain.
+  // eval/train epilogues (kernels/vec_math.h) so the paths cannot drift. The
+  // forward runs the buffer sweep (SIMD over the body); the backward's
+  // per-element GeluGradPsScalar evaluates the identical chain.
   CDCL_CHECK(a.defined());
   Tensor out = Tensor::Uninitialized(a.shape());
   const int64_t n = a.NumElements();
-  kernels::GeluMap(n, a.data(), out.data());
+  kernels::GeluMapVec(n, a.data(), out.data());
   auto a_impl = a.impl();
   AttachNode(&out, {a}, "gelu", [a_impl, n](TensorImpl& o) {
     if (!NeedsGrad(a_impl)) return;
@@ -204,34 +203,20 @@ Tensor Gelu(const Tensor& a) {
     const float* g = o.grad.data();
     const float* px = a_impl->data.data();
     float* ga = a_impl->grad.data();
-    // Mode branch hoisted out of the sweep (the flag is an atomic load).
-    if (kernels::VecMathEnabled()) {
-      kernels::EltwiseMap(n, [g, px, ga](int64_t i) {
-        ga[i] += g[i] * kernels::GeluGradPsScalar(px[i]);
-      });
-    } else {
-      kernels::EltwiseMap(n, [g, px, ga](int64_t i) {
-        ga[i] += g[i] * kernels::GeluApproxGradLegacy(px[i]);
-      });
-    }
+    kernels::EltwiseMap(n, [g, px, ga](int64_t i) {
+      ga[i] += g[i] * kernels::GeluGradPsScalar(px[i]);
+    });
   });
   return out;
 }
 
 Tensor Tanh(const Tensor& a) {
-  // Vectorized polynomial sweep in vec-math mode, std::tanh with
-  // CDCL_VEC_MATH=0 (same switch for Sigmoid/Exp and the softmax family).
-  // The backward needs only the saved output, so the generic closure stays.
+  // Vectorized polynomial sweep (kernels/vec_math.h). The backward needs only
+  // the saved output, so the generic closure stays.
   CDCL_CHECK(a.defined());
   Tensor out = Tensor::Uninitialized(a.shape());
   const int64_t n = a.NumElements();
-  if (kernels::VecMathEnabled()) {
-    kernels::TanhMapVec(n, a.data(), out.data());
-  } else {
-    const float* pa = a.data();
-    float* po = out.data();
-    kernels::EltwiseMap(n, [pa, po](int64_t i) { po[i] = std::tanh(pa[i]); });
-  }
+  kernels::TanhMapVec(n, a.data(), out.data());
   auto a_impl = a.impl();
   AttachNode(&out, {a}, "tanh", [a_impl, n](TensorImpl& o) {
     if (!NeedsGrad(a_impl)) return;
@@ -247,13 +232,9 @@ Tensor Tanh(const Tensor& a) {
 }
 
 Tensor Sigmoid(const Tensor& a) {
-  const bool vec = kernels::VecMathEnabled();  // hoisted: atomic load
   return UnaryOp(
       a, "sigmoid",
-      [vec](float x) {
-        const float e = vec ? kernels::ExpPsScalar(-x) : std::exp(-x);
-        return 1.0f / (1.0f + e);
-      },
+      [](float x) { return 1.0f / (1.0f + kernels::ExpPsScalar(-x)); },
       [](float, float y) { return y * (1.0f - y); });
 }
 
@@ -261,13 +242,7 @@ Tensor Exp(const Tensor& a) {
   CDCL_CHECK(a.defined());
   Tensor out = Tensor::Uninitialized(a.shape());
   const int64_t n = a.NumElements();
-  if (kernels::VecMathEnabled()) {
-    kernels::ExpMapVec(n, a.data(), out.data());
-  } else {
-    const float* pa = a.data();
-    float* po = out.data();
-    kernels::EltwiseMap(n, [pa, po](int64_t i) { po[i] = std::exp(pa[i]); });
-  }
+  kernels::ExpMapVec(n, a.data(), out.data());
   auto a_impl = a.impl();
   AttachNode(&out, {a}, "exp", [a_impl, n](TensorImpl& o) {
     if (!NeedsGrad(a_impl)) return;
@@ -713,16 +688,14 @@ Tensor LogSoftmax(const Tensor& a) {
   Tensor out = Tensor::Uninitialized(a.shape());
   const float* pa = a.data();
   float* po = out.data();
-  // Mode branch hoisted out of the row loops (the flag is an atomic load).
-  const bool vec = kernels::VecMathEnabled();
-  kernels::RowMap(rows, d, [pa, po, d, vec](int64_t r) {
+  kernels::RowMap(rows, d, [pa, po, d](int64_t r) {
     const float* xr = pa + r * d;
     float* yr = po + r * d;
     float mx = xr[0];
     for (int64_t j = 1; j < d; ++j) mx = std::max(mx, xr[j]);
     float z = 0.0f;
     for (int64_t j = 0; j < d; ++j) {
-      z += vec ? kernels::ExpPsScalar(xr[j] - mx) : std::exp(xr[j] - mx);
+      z += kernels::ExpPsScalar(xr[j] - mx);
     }
     const float lse = mx + std::log(z);
     for (int64_t j = 0; j < d; ++j) yr[j] = xr[j] - lse;
@@ -734,16 +707,14 @@ Tensor LogSoftmax(const Tensor& a) {
     const float* g = o.grad.data();
     const float* y = o.data.data();
     float* ga = a_impl->grad.data();
-    const bool vec = kernels::VecMathEnabled();
-    kernels::RowMap(rows, d, [g, y, ga, d, vec](int64_t r) {
+    kernels::RowMap(rows, d, [g, y, ga, d](int64_t r) {
       const float* gr = g + r * d;
       const float* yr = y + r * d;
       float gsum = 0.0f;
       for (int64_t j = 0; j < d; ++j) gsum += gr[j];
       float* gar = ga + r * d;
       for (int64_t j = 0; j < d; ++j) {
-        const float e = vec ? kernels::ExpPsScalar(yr[j]) : std::exp(yr[j]);
-        gar[j] += gr[j] - e * gsum;
+        gar[j] += gr[j] - kernels::ExpPsScalar(yr[j]) * gsum;
       }
     });
   });
@@ -821,21 +792,18 @@ Tensor CrossEntropy(const Tensor& logits, const std::vector<int64_t>& labels) {
     float* pp = probs.data();
     float* prl = row_loss.data();
     const int64_t* plb = labels.data();
-    // Mode branch hoisted out of the row loops (the flag is an atomic load).
-    const bool vec = kernels::VecMathEnabled();
-    kernels::RowMap(b, c, [pl, pp, prl, plb, c, vec](int64_t i) {
+    kernels::RowMap(b, c, [pl, pp, prl, plb, c](int64_t i) {
       const float* xr = pl + i * c;
       float mx = xr[0];
       for (int64_t j = 1; j < c; ++j) mx = std::max(mx, xr[j]);
       float z = 0.0f;
       for (int64_t j = 0; j < c; ++j) {
-        z += vec ? kernels::ExpPsScalar(xr[j] - mx) : std::exp(xr[j] - mx);
+        z += kernels::ExpPsScalar(xr[j] - mx);
       }
       const float lse = mx + std::log(z);
       prl[i] = lse - xr[plb[i]];
       for (int64_t j = 0; j < c; ++j) {
-        pp[i * c + j] =
-            vec ? kernels::ExpPsScalar(xr[j] - lse) : std::exp(xr[j] - lse);
+        pp[i * c + j] = kernels::ExpPsScalar(xr[j] - lse);
       }
     });
   }

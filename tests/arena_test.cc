@@ -2,9 +2,8 @@
 // fused training path. The contract under test: CDCL_ARENA and
 // CDCL_FUSED_TRAIN change *where* step memory lives and *how many* tape
 // nodes a training forward records — never a single bit of any loss,
-// gradient, or post-step parameter, at any thread count or GEMM kernel
-// selection. A short 2-task CdclTrainer run pins the end-to-end training
-// trajectory; component tests localize a regression to the attention / FFN
+// gradient, or post-step parameter, at any thread count or ISA cap. A
+// short 2-task CdclTrainer run pins the end-to-end training trajectory; component tests localize a regression to the attention / FFN
 // closures; the mechanics tests cover the arena itself (scopes, reset
 // generations, nesting, the escape hatch). scripts/verify.sh re-runs this
 // suite under ASan/UBSan, where every arena allocation becomes an
@@ -23,7 +22,6 @@
 #include "tensor/arena.h"
 #include "tensor/kernels/kernel_context.h"
 #include "tensor/kernels/matmul_kernel.h"
-#include "tensor/kernels/vec_math.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
@@ -31,26 +29,31 @@
 namespace cdcl {
 namespace {
 
-/// Restores threads, kernel override, arena and fused-train toggles when a
-/// scope ends, so no test leaks settings into the next.
+/// Restores threads, ISA cap, arena and fused-train toggles when a scope
+/// ends, so no test leaks settings into the next.
 class SettingsScope {
  public:
-  // The vec-math mode restores to whatever was active on entry (the
-  // env-resolved default), so verify.sh can re-run this whole suite under
-  // CDCL_VEC_MATH=0 and every test keeps the legacy numerics.
-  SettingsScope() : vec_math_(kernels::VecMathEnabled()) {}
   ~SettingsScope() {
     kernels::SetNumThreads(0);
-    kernels::SetGemmKernel(kernels::GemmKernel::kAuto);
+    kernels::SetIsaCap(kernels::IsaCap::kAvx512);
     SetArenaEnabled(true);
     nn::SetFusedTrain(true);
-    kernels::SetVecMath(vec_math_);
-    kernels::SetVecMathIsa(kernels::VecMathIsa::kAuto);
   }
-
- private:
-  bool vec_math_;
 };
+
+/// Every ISA cap; one above what the host has resolves to its widest tier.
+const kernels::IsaCap kCaps[] = {kernels::IsaCap::kScalar,
+                                 kernels::IsaCap::kAvx2,
+                                 kernels::IsaCap::kAvx512};
+
+std::string CapName(kernels::IsaCap cap) {
+  switch (cap) {
+    case kernels::IsaCap::kScalar: return "scalar";
+    case kernels::IsaCap::kAvx2: return "avx2";
+    case kernels::IsaCap::kAvx512: return "avx512";
+  }
+  return "?";
+}
 
 void ExpectBitwiseEqual(const std::vector<float>& a,
                         const std::vector<float>& b,
@@ -83,15 +86,13 @@ struct Trajectory {
   std::vector<std::vector<float>> params;    // final model parameters
 };
 
-// vec_math defaults to the ambient mode so the CDCL_VEC_MATH=0 verify pass
-// runs every trajectory test in the legacy numerics.
 Trajectory RunCdcl(bool arena, bool fused_train, int64_t threads,
-                   bool vec_math = kernels::VecMathEnabled()) {
+                   kernels::IsaCap cap = kernels::IsaCap::kAvx512) {
   SettingsScope restore;
   kernels::SetNumThreads(threads);
+  kernels::SetIsaCap(cap);
   SetArenaEnabled(arena);
   nn::SetFusedTrain(fused_train);
-  kernels::SetVecMath(vec_math);
   auto stream = TinyStream();
   core::CdclOptions opt;
   opt.base.model.image_hw = 16;
@@ -153,22 +154,18 @@ TEST(ArenaTest, CdclTrajectoryBitwiseFusedTrainOnVsOff) {
   }
 }
 
-// Both numerics modes (vectorized transcendentals on/off) are distinct
-// trajectories, but *within* each mode the full trajectory must stay bitwise
-// identical across fused-vs-op, arena-vs-heap and thread counts. The vec-off
-// run is byte-for-byte the pre-tier code path, so its self-consistency here
-// is the "CDCL_VEC_MATH=0 restores the exact pre-tier numerics" proof.
-TEST(ArenaTest, CdclTrajectoryBitwisePerVecMathMode) {
-  for (const bool vec : {true, false}) {
-    Trajectory reference =
-        RunCdcl(/*arena=*/true, /*fused_train=*/true, 1, vec);
-    const std::string mode = vec ? "vec_math on" : "vec_math off";
-    ExpectSameTrajectory(
-        reference, RunCdcl(/*arena=*/true, /*fused_train=*/false, 1, vec),
-        mode + ", op path");
-    ExpectSameTrajectory(
-        reference, RunCdcl(/*arena=*/false, /*fused_train=*/true, 2, vec),
-        mode + ", heap, threads=2");
+// Every GEMM and vec-math tier computes the same chains, so within one build
+// the dispatched ISA tier must not show in training: the same run under each
+// ISA cap (at 1 and 2 threads, op path and fused) yields bit-identical losses
+// and parameters.
+TEST(ArenaTest, CdclTrajectoryBitwiseAcrossIsaCaps) {
+  const Trajectory reference = RunCdcl(/*arena=*/true, /*fused_train=*/true, 1,
+                                       kernels::IsaCap::kAvx512);
+  for (kernels::IsaCap cap : kCaps) {
+    ExpectSameTrajectory(reference, RunCdcl(true, true, 1, cap),
+                         "cap=" + CapName(cap));
+    ExpectSameTrajectory(reference, RunCdcl(true, false, 2, cap),
+                         "cap=" + CapName(cap) + ", op path, threads=2");
   }
 }
 
@@ -190,21 +187,16 @@ void ExpectSameGrads(const GradCapture& a, const GradCapture& b,
 }
 
 // Self- and cross-attention plus the MLP through both paths: losses and
-// every gradient (params and both inputs) must agree bit for bit, per GEMM
-// kernel, per thread count, with the second task's frozen predecessor keys
+// every gradient (params and both inputs) must agree bit for bit, per ISA
+// cap, per thread count, with the second task's frozen predecessor keys
 // exercising the skip-frozen-grad branches.
 TEST(ArenaTest, AttentionAndFfnGradsBitwiseFusedVsOp) {
-  std::vector<kernels::GemmKernel> kernels_under_test = {
-      kernels::GemmKernel::kScalar, kernels::GemmKernel::kAuto};
-  if (kernels::CpuHasAvx2Fma()) {
-    kernels_under_test.push_back(kernels::GemmKernel::kPacked);
-  }
-  for (kernels::GemmKernel kernel : kernels_under_test) {
+  for (kernels::IsaCap cap : kCaps) {
     for (int64_t threads : {int64_t{1}, int64_t{2}, int64_t{8}}) {
       for (const bool softmax : {true, false}) {
         for (const bool cross : {false, true}) {
           SettingsScope restore;
-          kernels::SetGemmKernel(kernel);
+          kernels::SetIsaCap(cap);
           kernels::SetNumThreads(threads);
           Rng rng(29);
           nn::TaskConditionedAttention attn(24, 16, &rng, softmax);
@@ -240,7 +232,7 @@ TEST(ArenaTest, AttentionAndFfnGradsBitwiseFusedVsOp) {
             GradCapture op_path = run(/*fused=*/false, task);
             GradCapture fused = run(/*fused=*/true, task);
             ExpectSameGrads(op_path, fused,
-                            "kernel=" + std::to_string(static_cast<int>(kernel)) +
+                            "cap=" + CapName(cap) +
                                 " threads=" + std::to_string(threads) +
                                 " softmax=" + std::to_string(softmax) +
                                 " cross=" + std::to_string(cross) +
@@ -256,14 +248,14 @@ TEST(ArenaTest, AttentionAndFfnGradsBitwiseFusedVsOp) {
 // exercises the folded pre-norm LayerNorms (single-LN self sublayer, the
 // two-stream cross sublayer with its companion LN node, and the folded MLP
 // pre-norm). Losses and every gradient — block params and all input
-// streams — must agree bit for bit with the op chain, in both numerics
-// modes, per thread count, including the first-layer undefined-mixed cross
-// case.
+// streams — must agree bit for bit with the op chain, per ISA cap and
+// thread count, including the first-layer undefined-mixed cross case.
 TEST(ArenaTest, EncoderLayerGradsBitwiseFusedVsOp) {
-  for (const bool vec : {true, false}) {
+  for (kernels::IsaCap cap : {kernels::IsaCap::kScalar,
+                              kernels::IsaCap::kAvx512}) {
     for (int64_t threads : {int64_t{1}, int64_t{2}, int64_t{8}}) {
       SettingsScope restore;
-      kernels::SetVecMath(vec);
+      kernels::SetIsaCap(cap);
       kernels::SetNumThreads(threads);
       Rng rng(37);
       nn::TransformerEncoderLayer layer(24, 16, 48, &rng,
@@ -308,7 +300,7 @@ TEST(ArenaTest, EncoderLayerGradsBitwiseFusedVsOp) {
         GradCapture op_path = run(/*fused=*/false);
         GradCapture fused = run(/*fused=*/true);
         ExpectSameGrads(op_path, fused,
-                        "encoder layer vec=" + std::to_string(vec) +
+                        "encoder layer cap=" + CapName(cap) +
                             " threads=" + std::to_string(threads) +
                             " mode=" + std::to_string(mode));
       }

@@ -2,7 +2,7 @@
 // forward (flattened projection GEMMs + fused score/bias/softmax + fused MLP
 // epilogues, kernels/fused_eval.h) must be bitwise identical to the op-by-op
 // tensor path, per sample and per batch, across 1/2/8 threads and across the
-// GEMM kernel selections (scalar / packed-SIMD / auto). This is the contract
+// ISA caps (scalar / AVX2 / AVX-512 GEMM and vec-math tiers). This is the contract
 // that lets EvaluateTil/EvaluateCil, dataset encoding and memory snapshots
 // ride the fused path without any accuracy drift vs the seed behavior.
 
@@ -24,39 +24,30 @@
 namespace cdcl {
 namespace {
 
-/// Restores thread count, kernel override and fused-eval toggle when a scope
-/// ends, so no test leaks settings into the next.
+/// Restores thread count, ISA cap and fused-eval toggle when a scope ends,
+/// so no test leaks settings into the next.
 class DispatchScope {
  public:
-  DispatchScope(int64_t threads, kernels::GemmKernel kernel) {
+  DispatchScope(int64_t threads, kernels::IsaCap cap) {
     kernels::SetNumThreads(threads);
-    kernels::SetGemmKernel(kernel);
+    kernels::SetIsaCap(cap);
   }
   ~DispatchScope() {
     kernels::SetNumThreads(0);
-    kernels::SetGemmKernel(kernels::GemmKernel::kAuto);
+    kernels::SetIsaCap(kernels::IsaCap::kAvx512);
     nn::SetFusedEval(true);
   }
 };
 
 const int64_t kThreadCounts[] = {1, 2, 8};
 
-std::vector<kernels::GemmKernel> KernelsUnderTest() {
-  std::vector<kernels::GemmKernel> kernels = {kernels::GemmKernel::kScalar,
-                                              kernels::GemmKernel::kAuto};
-  if (kernels::CpuHasAvx2Fma()) {
-    kernels.push_back(kernels::GemmKernel::kPacked);
-  }
-  return kernels;
-}
+/// Every ISA cap; one above what the host has resolves to its widest tier.
+const kernels::IsaCap kCaps[] = {kernels::IsaCap::kScalar,
+                                 kernels::IsaCap::kAvx2,
+                                 kernels::IsaCap::kAvx512};
 
-std::string KernelName(kernels::GemmKernel k) {
-  switch (k) {
-    case kernels::GemmKernel::kAuto: return "auto";
-    case kernels::GemmKernel::kScalar: return "scalar";
-    case kernels::GemmKernel::kPacked: return "packed";
-  }
-  return "?";
+std::string CapName(kernels::IsaCap cap) {
+  return std::to_string(static_cast<int>(cap));
 }
 
 void ExpectBitwiseEqual(const Tensor& a, const Tensor& b,
@@ -92,15 +83,15 @@ struct ModelFixture {
 };
 
 // The fused batched forward must equal the op-by-op forward bit for bit, for
-// every kernel path at every thread count (both paths evaluated under the
-// same dispatch settings).
+// every ISA cap at every thread count (both paths evaluated under the same
+// dispatch settings).
 TEST(BatchedEvalTest, FusedForwardMatchesOpPathBitwise) {
   for (const bool softmax : {true, false}) {
     ModelFixture fx(softmax);
     const int64_t task = 1;
-    for (kernels::GemmKernel kernel : KernelsUnderTest()) {
+    for (kernels::IsaCap cap : kCaps) {
       for (int64_t threads : kThreadCounts) {
-        DispatchScope scope(threads, kernel);
+        DispatchScope scope(threads, cap);
         NoGradGuard no_grad;
         nn::SetFusedEval(false);
         Tensor reference = fx.model->EncodeSelf(fx.images, task);
@@ -108,8 +99,7 @@ TEST(BatchedEvalTest, FusedForwardMatchesOpPathBitwise) {
         Tensor fused = fx.model->EncodeSelf(fx.images, task);
         Tensor api = fx.model->EncodeSelfBatched(fx.images, task);
         const std::string context =
-            "kernel=" + KernelName(kernel) +
-            " threads=" + std::to_string(threads) +
+            "cap=" + CapName(cap) + " threads=" + std::to_string(threads) +
             " softmax=" + std::to_string(softmax);
         ExpectBitwiseEqual(reference, fused, context + " (fused vs op path)");
         ExpectBitwiseEqual(reference, api, context + " (EncodeSelfBatched)");
@@ -119,20 +109,16 @@ TEST(BatchedEvalTest, FusedForwardMatchesOpPathBitwise) {
 }
 
 // Batching must not change any sample's encoding: the batched forward equals
-// the concatenation of single-sample forwards bit for bit under every forced
-// kernel. (kAuto is excluded by design: its shape thresholds may legitimately
-// pick different kernels for batch-1 vs batch-N flattened GEMMs, and distinct
-// kernels only agree to float rounding.)
+// the concatenation of single-sample forwards bit for bit under every ISA
+// cap. The dispatcher does pick different kernels for batch-1 vs batch-N
+// flattened GEMMs (the packed rule needs m >= 8), but every kernel computes
+// the same fma chain, so the choice cannot show.
 TEST(BatchedEvalTest, BatchedMatchesPerSampleBitwise) {
   ModelFixture fx(/*softmax_attention=*/true);
   const int64_t task = 0;
-  std::vector<kernels::GemmKernel> forced = {kernels::GemmKernel::kScalar};
-  if (kernels::CpuHasAvx2Fma()) {
-    forced.push_back(kernels::GemmKernel::kPacked);
-  }
-  for (kernels::GemmKernel kernel : forced) {
+  for (kernels::IsaCap cap : kCaps) {
     for (int64_t threads : kThreadCounts) {
-      DispatchScope scope(threads, kernel);
+      DispatchScope scope(threads, cap);
       Tensor batched = fx.model->EncodeSelfBatched(fx.images, task);
       const int64_t b = fx.images.dim(0);
       const int64_t d = batched.dim(1);
@@ -142,7 +128,7 @@ TEST(BatchedEvalTest, BatchedMatchesPerSampleBitwise) {
         Tensor zi = fx.model->EncodeSelfBatched(xi, task);
         for (int64_t j = 0; j < d; ++j) {
           ASSERT_EQ(zi.at(int64_t{0}, j), batched.at(i, j))
-              << "kernel=" << KernelName(kernel) << " threads=" << threads
+              << "cap=" << CapName(cap) << " threads=" << threads
               << " sample=" << i << " dim=" << j;
         }
       }
@@ -151,21 +137,21 @@ TEST(BatchedEvalTest, BatchedMatchesPerSampleBitwise) {
 }
 
 // Thread-count invariance of the fused path itself: one reference capture at
-// a single thread, then bitwise identity at 2 and 8 threads per kernel.
+// a single thread, then bitwise identity at 2 and 8 threads per ISA cap.
 TEST(BatchedEvalTest, FusedPathIsThreadInvariant) {
   ModelFixture fx(/*softmax_attention=*/true);
   const int64_t task = 1;
-  for (kernels::GemmKernel kernel : KernelsUnderTest()) {
+  for (kernels::IsaCap cap : kCaps) {
     Tensor reference;
     for (int64_t threads : kThreadCounts) {
-      DispatchScope scope(threads, kernel);
+      DispatchScope scope(threads, cap);
       Tensor z = fx.model->EncodeSelfBatched(fx.images, task);
       if (!reference.defined()) {
         reference = z;
         continue;
       }
       ExpectBitwiseEqual(reference, z,
-                         "kernel=" + KernelName(kernel) +
+                         "cap=" + CapName(cap) +
                              " threads=" + std::to_string(threads));
     }
   }
@@ -184,7 +170,7 @@ TEST(BatchedEvalTest, FusedComponentsMatchOpPath) {
   Tensor x = Tensor::Randn(Shape{b, n, d}, &rng);
   nn::SequencePool pool(d, &rng);
   for (int64_t threads : kThreadCounts) {
-    DispatchScope scope(threads, kernels::GemmKernel::kAuto);
+    DispatchScope scope(threads, kernels::IsaCap::kAvx512);
     NoGradGuard no_grad;
     ExpectBitwiseEqual(layer.SelfForward(x, 0), layer.SelfForwardFused(x, 0),
                        "encoder layer, threads=" + std::to_string(threads));

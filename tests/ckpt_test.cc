@@ -29,6 +29,7 @@
 #include "data/task_stream.h"
 #include "gtest/gtest.h"
 #include "models/compact_transformer.h"
+#include "tensor/kernels/matmul_kernel.h"
 #include "tensor/kernels/matmul_quant.h"
 #include "util/fault.h"
 #include "util/rng.h"
@@ -397,6 +398,42 @@ TEST(CheckpointTest, KillAndResumeIsBitwiseIdenticalToUninterruptedRun) {
   // identical before the kill).
   EXPECT_EQ(before->til.Get(0, 0), full->til.Get(0, 0));
   EXPECT_EQ(before->cil.Get(0, 0), full->cil.Get(0, 0));
+}
+
+// Contract #6 across ISA caps: within one build, a checkpoint written under
+// the widest ISA tier resumes bitwise with dispatch capped at AVX2 or at
+// scalar. Every GEMM and vec-math tier computes the same chains, so the cap
+// must not show in the parameters or the loss trace.
+TEST(CheckpointTest, ResumeIsBitwiseAcrossIsaCaps) {
+  auto stream = TinyDigitsStream(3);
+  core::CdclTrainer uninterrupted(TinyCdclOptions());
+  ASSERT_TRUE(cl::RunContinualExperiment(&uninterrupted, stream).ok());
+
+  TempDir dir;
+  core::CdclTrainer writer(TinyCdclOptions());
+  cl::ExperimentOptions stop_after_first;
+  stop_after_first.stop_requested = [&writer] {
+    return writer.tasks_seen() >= 1;
+  };
+  ASSERT_TRUE(cl::RunContinualExperiment(&writer, stream, stop_after_first).ok());
+  ASSERT_TRUE(SaveTrainer(dir.path(), writer, 1).ok());
+
+  for (kernels::IsaCap cap : {kernels::IsaCap::kAvx2, kernels::IsaCap::kScalar}) {
+    kernels::SetIsaCap(cap);
+    core::CdclTrainer resumed(TinyCdclOptions());
+    const Result<CheckpointInfo> info = RestoreTrainer(dir.path(), &resumed);
+    cl::ExperimentOptions resume;
+    resume.first_task = info.ok() ? info->next_task : 0;
+    const bool finished =
+        info.ok() && cl::RunContinualExperiment(&resumed, stream, resume).ok();
+    kernels::SetIsaCap(kernels::IsaCap::kAvx512);
+    ASSERT_TRUE(finished) << "cap=" << static_cast<int>(cap);
+    EXPECT_TRUE(BitwiseEqual(FlatParams(resumed.model()),
+                             FlatParams(uninterrupted.model())))
+        << "cap=" << static_cast<int>(cap) << ": parameters diverged";
+    EXPECT_TRUE(BitwiseEqual(resumed.loss_trace(), uninterrupted.loss_trace()))
+        << "cap=" << static_cast<int>(cap) << ": loss trajectory diverged";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -836,6 +873,55 @@ TEST(CheckpointFuzzTest, MutatedCheckpointsNeverThrowOrOverAllocate) {
   // Both outcomes must be common, or the mutants never reached the parsers.
   EXPECT_GT(decoded, kCases / 20);
   EXPECT_GT(malformed, kCases / 20);
+}
+
+// A CRC-valid meta section whose first class count is forged to 2^40 or
+// INT64_MAX still decodes (counts are only checked for > 0 there); the
+// restore must reject it against the stored task heads before it builds a
+// head from it: a Status, no throw, no allocation larger than the file.
+TEST(CheckpointFuzzTest, ForgedClassCountIsRejectedBeforeAllocating) {
+  auto stream = TinyDigitsStream(1);
+  core::CdclTrainer trainer(TinyCdclOptions());
+  ASSERT_TRUE(trainer.ObserveTask(stream.task(0)).ok());
+  TempDir dir;
+  const Result<CheckpointInfo> saved = SaveTrainer(dir.path(), trainer, 1);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  std::vector<ckpt::Section> good;
+  ASSERT_TRUE(ckpt::DecodeSections(ReadAll(saved->path), &good).ok());
+
+  for (const int64_t forged : {int64_t{1} << 40, INT64_MAX}) {
+    std::vector<ckpt::Section> sections = good;
+    for (ckpt::Section& section : sections) {
+      if (section.tag != ckpt::kMeta) continue;
+      // version u32, next_task i64, tasks_seen i64, count u64, then task 0.
+      const size_t at = 4 + 8 + 8 + 8;
+      ASSERT_LE(at + 8, section.payload.size());
+      for (size_t k = 0; k < 8; ++k) {
+        section.payload[at + k] =
+            static_cast<uint8_t>(static_cast<uint64_t>(forged) >> (8 * k));
+      }
+    }
+    const std::vector<uint8_t> bytes = ckpt::EncodeSections(sections);
+    ASSERT_TRUE(ckpt::VerifyCheckpoint(bytes).ok()) << forged;
+    WriteAll(saved->path, bytes);
+
+    core::CdclTrainer restored(TinyCdclOptions());
+    Result<CheckpointInfo> info = Status::Internal("not run");
+    size_t largest = 0;
+    {
+      AllocationProbe probe;
+      try {
+        info = RestoreTrainer(dir.path(), &restored);
+      } catch (...) {
+        ADD_FAILURE() << forged << ": restore threw";
+      }
+      largest = probe.largest();
+    }
+    ASSERT_FALSE(info.ok()) << forged;
+    EXPECT_EQ(info.status().code(), StatusCode::kIoError) << forged;
+    EXPECT_LE(largest, bytes.size()) << forged;
+    EXPECT_EQ(restored.model().num_tasks(), 0) << forged;
+  }
 }
 
 // ---------------------------------------------------------------------------

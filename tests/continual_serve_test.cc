@@ -26,7 +26,6 @@
 #include "serve/inference.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
-#include "tensor/kernels/matmul_kernel.h"
 #include "tensor/tensor.h"
 #include "util/env.h"
 #include "util/rng.h"
@@ -84,12 +83,11 @@ Request ImageRequest(MessageType type, uint32_t id, int64_t task,
   return r;
 }
 
-/// Quiesced single-request eval of `request` against `model`, under the same
-/// batch-invariant GEMM dispatch the serving engine pins — the bitwise
-/// ground truth for a response stamped with that model's version.
+/// Quiesced single-request eval of `request` against `model` — the bitwise
+/// ground truth for a response stamped with that model's version (GEMM
+/// results do not depend on the batch a row was served in).
 std::vector<float> Reference(const models::CompactTransformer& model,
                              const Request& request) {
-  kernels::BatchInvariantGemmScope invariant_dispatch;
   Tensor image = Tensor::Uninitialized(Shape{1, kChannels, kHw, kHw});
   std::memcpy(image.data(), request.pixels.data(),
               request.pixels.size() * sizeof(float));

@@ -1,15 +1,17 @@
-// Kernel-equivalence harness for the GEMM dispatch layer: every kernel
-// (scalar register-tile, packed/SIMD) x every variant (NN/NT/TN) x
-// accumulate on/off is checked against a naive serial reference over
-// adversarial shapes (degenerate rows/columns, prime dims, K=0, sizes that
-// miss every register tile and panel width), and each kernel must be
-// bitwise identical to itself across 1/2/8 threads. This is the contract
-// that makes future kernel swaps safe: tolerance to the reference, bitwise
-// to itself.
+// Bitwise harness for the GEMM one-chain contract (matmul_kernel.h): every
+// tier the ISA cap can select (scalar, AVX2, AVX-512) x every variant
+// (NN/NT/TN) x accumulate on/off must equal, bit for bit, a reference that
+// computes each output element as one ascending-k std::fma chain started
+// from C (accumulate) or zero — at 1, 2 and 8 threads, over adversarial
+// shapes (degenerate rows/columns, prime dims, K=0, sizes that miss every
+// register tile and panel width, the packed-dispatch boundary, and the
+// attention shapes where the tiers used to disagree). Kernel choice is then
+// a speed decision only. A cap above what the host supports resolves to its
+// widest tier, so the sweep always covers everything the host can run.
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -32,16 +34,20 @@ const char* OpName(Op op) {
   return "?";
 }
 
-/// Restores thread count and kernel override when a scope ends.
+const kernels::IsaCap kCaps[] = {kernels::IsaCap::kScalar,
+                                 kernels::IsaCap::kAvx2,
+                                 kernels::IsaCap::kAvx512};
+
+/// Restores thread count and ISA cap when a scope ends.
 class DispatchScope {
  public:
-  DispatchScope(int64_t threads, kernels::GemmKernel kernel) {
+  DispatchScope(int64_t threads, kernels::IsaCap cap) {
     kernels::SetNumThreads(threads);
-    kernels::SetGemmKernel(kernel);
+    kernels::SetIsaCap(cap);
   }
   ~DispatchScope() {
     kernels::SetNumThreads(0);
-    kernels::SetGemmKernel(kernels::GemmKernel::kAuto);
+    kernels::SetIsaCap(kernels::IsaCap::kAvx512);
   }
 };
 
@@ -57,8 +63,9 @@ struct GemmShape {
 };
 
 // Degenerate edges (1xN, Nx1, scalar, K=0), primes that miss the 8/6/4-row
-// tiles and the 16/32-wide panels, exact tile multiples, and shapes above
-// the auto-packed work threshold (64^3) with and without panel tails.
+// tiles and the 16/32-wide panels, exact tile multiples, the packed rule's
+// boundary (m >= 8, n >= 16, k >= 16) from both sides, and the per-sample
+// attention / projection shapes where the tiers once disagreed.
 const GemmShape kShapes[] = {
     {1, 17, 65},    // single output row
     {65, 17, 1},    // single output column
@@ -67,9 +74,17 @@ const GemmShape kShapes[] = {
     {5, 0, 7},      // K=0: C must be zeroed (or left alone when accumulating)
     {37, 53, 41},   // prime everything
     {48, 64, 96},   // exact multiples of every tile/panel in play
-    {100, 100, 100},// non-multiple of 6/8/16/32 but past no threshold
-    {64, 80, 64},   // above kPackedMinWork, full panels
-    {67, 70, 77},   // above kPackedMinWork, ragged rows + panel tails
+    {100, 100, 100},// non-multiple of 6/8/16/32
+    {67, 70, 77},   // ragged rows + panel tails, past the k-block floor
+    {8, 16, 16},    // smallest packed shape
+    {7, 16, 16},    // one row short of packed
+    {8, 15, 16},    // one k short of packed
+    {8, 16, 15},    // one column short of packed
+    {9, 300, 40},   // k spans two kKc blocks
+    {256, 24, 24},  // flattened d=24 projection
+    {16, 16, 24},   // per-sample attention products
+    {16, 24, 16},
+    {33, 17, 29},
 };
 
 int64_t ASize(Op op, const GemmShape& s) {
@@ -79,7 +94,7 @@ int64_t BSize(Op op, const GemmShape& s) {
   return op == Op::kNT ? s.n * s.k : s.k * s.n;
 }
 
-/// Naive serial reference, k ascending per output element.
+/// The contract itself: one ascending-k std::fma chain per output element.
 std::vector<float> RefGemm(Op op, const GemmShape& s,
                            const std::vector<float>& a,
                            const std::vector<float>& b,
@@ -104,7 +119,7 @@ std::vector<float> RefGemm(Op op, const GemmShape& s,
             bv = b[static_cast<size_t>(l * s.n + j)];
             break;
         }
-        acc += av * bv;
+        acc = std::fma(av, bv, acc);
       }
       c[static_cast<size_t>(i * s.n + j)] = acc;
     }
@@ -112,11 +127,11 @@ std::vector<float> RefGemm(Op op, const GemmShape& s,
   return c;
 }
 
-std::vector<float> RunGemm(Op op, const GemmShape& s, kernels::GemmKernel kern,
+std::vector<float> RunGemm(Op op, const GemmShape& s, kernels::IsaCap cap,
                            int64_t threads, const std::vector<float>& a,
                            const std::vector<float>& b,
                            const std::vector<float>& c0, bool accumulate) {
-  DispatchScope scope(threads, kern);
+  DispatchScope scope(threads, cap);
   std::vector<float> c = c0;
   switch (op) {
     case Op::kNN:
@@ -132,20 +147,29 @@ std::vector<float> RunGemm(Op op, const GemmShape& s, kernels::GemmKernel kern,
   return c;
 }
 
+void ExpectBitwiseEqual(const std::vector<float>& want,
+                        const std::vector<float>& got,
+                        const std::string& context) {
+  ASSERT_EQ(want.size(), got.size()) << context;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&want[i], &got[i], sizeof(float)), 0)
+        << context << " i=" << i << ": " << want[i] << " vs " << got[i];
+  }
+}
+
 class GemmEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
-TEST_P(GemmEquivalenceTest, KernelsMatchReferenceAndAreThreadInvariant) {
+TEST_P(GemmEquivalenceTest, EveryTierEqualsTheFmaChainAtEveryThreadCount) {
   const Op op = static_cast<Op>(std::get<0>(GetParam()));
   const bool accumulate = std::get<1>(GetParam());
-  const kernels::GemmKernel kKernels[] = {kernels::GemmKernel::kScalar,
-                                          kernels::GemmKernel::kPacked,
-                                          kernels::GemmKernel::kAuto};
   uint64_t seed = 1;
   for (const GemmShape& s : kShapes) {
-    SCOPED_TRACE(std::string(OpName(op)) + " m=" + std::to_string(s.m) +
-                 " k=" + std::to_string(s.k) + " n=" + std::to_string(s.n) +
-                 (accumulate ? " accumulate" : ""));
+    const std::string shape = std::string(OpName(op)) + " m=" +
+                              std::to_string(s.m) + " k=" +
+                              std::to_string(s.k) + " n=" +
+                              std::to_string(s.n) +
+                              (accumulate ? " accumulate" : "");
     const std::vector<float> a = RandVec(ASize(op, s), seed++);
     const std::vector<float> b = RandVec(BSize(op, s), seed++);
     // Poison the output when not accumulating: kernels must overwrite it.
@@ -154,23 +178,12 @@ TEST_P(GemmEquivalenceTest, KernelsMatchReferenceAndAreThreadInvariant) {
       for (float& x : c0) x = -1000.0f;
     }
     const std::vector<float> want = RefGemm(op, s, a, b, c0, accumulate);
-    const float tol =
-        2e-4f * static_cast<float>(std::max<int64_t>(s.k, 1));
-    for (kernels::GemmKernel kern : kKernels) {
-      const std::vector<float> got1 = RunGemm(op, s, kern, 1, a, b, c0,
-                                              accumulate);
-      for (size_t i = 0; i < want.size(); ++i) {
-        ASSERT_NEAR(got1[i], want[i], tol)
-            << "kernel=" << static_cast<int>(kern) << " i=" << i;
-      }
-      for (int64_t threads : {2, 8}) {
-        const std::vector<float> gotn = RunGemm(op, s, kern, threads, a, b,
-                                                c0, accumulate);
-        for (size_t i = 0; i < want.size(); ++i) {
-          ASSERT_EQ(got1[i], gotn[i])
-              << "kernel=" << static_cast<int>(kern) << " threads=" << threads
-              << " i=" << i << " (bitwise thread invariance)";
-        }
+    for (kernels::IsaCap cap : kCaps) {
+      for (int64_t threads : {1, 2, 8}) {
+        ExpectBitwiseEqual(
+            want, RunGemm(op, s, cap, threads, a, b, c0, accumulate),
+            shape + " cap=" + std::to_string(static_cast<int>(cap)) +
+                " threads=" + std::to_string(threads));
       }
     }
   }
@@ -184,33 +197,24 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) ? "Accumulate" : "Overwrite");
     });
 
-TEST(GemmDispatchTest, KernelOverrideRoundTrips) {
-  kernels::SetGemmKernel(kernels::GemmKernel::kScalar);
-  EXPECT_EQ(kernels::GetGemmKernel(), kernels::GemmKernel::kScalar);
-  kernels::SetGemmKernel(kernels::GemmKernel::kPacked);
-  EXPECT_EQ(kernels::GetGemmKernel(), kernels::GemmKernel::kPacked);
-  kernels::SetGemmKernel(kernels::GemmKernel::kAuto);
-  EXPECT_EQ(kernels::GetGemmKernel(), kernels::GemmKernel::kAuto);
-}
-
-TEST(GemmDispatchTest, PackedFallsBackWithoutSimd) {
-  // Without AVX2/FMA the forced packed mode must produce the scalar path's
-  // exact results (it falls back); with it, packed must still agree with
-  // scalar to float tolerance on a shape the auto policy would pack.
+// The cap is a plain process-wide setting, and on a shape the dispatcher
+// packs it only changes which tier runs: scalar, AVX2 and AVX-512 (each
+// degrading to the widest the host has) give the same bits.
+TEST(GemmDispatchTest, IsaCapRoundTripsAndOnlyChangesSpeed) {
   const GemmShape s{64, 80, 64};
   const std::vector<float> a = RandVec(s.m * s.k, 91);
   const std::vector<float> b = RandVec(s.k * s.n, 92);
   const std::vector<float> c0(static_cast<size_t>(s.m * s.n), 0.0f);
   const std::vector<float> scalar =
-      RunGemm(Op::kNN, s, kernels::GemmKernel::kScalar, 1, a, b, c0, false);
-  const std::vector<float> packed =
-      RunGemm(Op::kNN, s, kernels::GemmKernel::kPacked, 1, a, b, c0, false);
-  for (size_t i = 0; i < scalar.size(); ++i) {
-    if (kernels::CpuHasAvx2Fma()) {
-      ASSERT_NEAR(packed[i], scalar[i], 2e-2f) << i;
-    } else {
-      ASSERT_EQ(packed[i], scalar[i]) << i;
+      RunGemm(Op::kNN, s, kernels::IsaCap::kScalar, 1, a, b, c0, false);
+  for (kernels::IsaCap cap : kCaps) {
+    {
+      DispatchScope scope(1, cap);
+      EXPECT_EQ(kernels::GetIsaCap(), cap);
     }
+    EXPECT_EQ(kernels::GetIsaCap(), kernels::IsaCap::kAvx512);
+    ExpectBitwiseEqual(scalar, RunGemm(Op::kNN, s, cap, 1, a, b, c0, false),
+                       "cap=" + std::to_string(static_cast<int>(cap)));
   }
 }
 

@@ -10,7 +10,6 @@
 #include "tensor/fused_train.h"
 #include "tensor/gradcheck.h"
 #include "tensor/kernels/kernel_context.h"
-#include "tensor/kernels/matmul_kernel.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
@@ -407,39 +406,37 @@ TEST(GradCheckTest, FusedTrainInsideArenaScope) {
 }
 
 // End-to-end backward correctness over the packed/SIMD GEMM kernels and the
-// parallel conv backward: the same finite-difference checks, but with the
-// dispatcher forced to the packed path (which bypasses its size thresholds)
-// and the kernel pool at 4 threads, so every forward and backward GEMM and
-// the per-chunk conv grad scratch run exactly the code the big shapes hit.
-class PackedKernelGradCheck : public ::testing::Test {
+// parallel conv backward: the same finite-difference checks with the kernel
+// pool at 4 threads, and MatMul shapes past the packed rule (m >= 8,
+// n >= 16, k >= 16), so the packed forward, the packed NT input gradient
+// and the SIMD TN weight gradient all run, as does the per-chunk conv grad
+// scratch the big shapes hit.
+class ThreadedKernelGradCheck : public ::testing::Test {
  protected:
-  void SetUp() override {
-    kernels::SetGemmKernel(kernels::GemmKernel::kPacked);
-    kernels::SetNumThreads(4);
-  }
-  void TearDown() override {
-    kernels::SetGemmKernel(kernels::GemmKernel::kAuto);
-    kernels::SetNumThreads(0);
-  }
+  void SetUp() override { kernels::SetNumThreads(4); }
+  void TearDown() override { kernels::SetNumThreads(0); }
 };
 
-TEST_F(PackedKernelGradCheck, MatMul) {
+TEST_F(ThreadedKernelGradCheck, MatMul) {
   EXPECT_GRADCHECK_OK(GradCheck(
       [](const std::vector<Tensor>& in) {
         return ops::Sum(ops::Square(ops::MatMul(in[0], in[1])));
       },
-      {RandInput(Shape{5, 7}, 101), RandInput(Shape{7, 6}, 102)}));
+      {RandInput(Shape{8, 16}, 101, 0.5f), RandInput(Shape{16, 16}, 102, 0.5f)},
+      /*epsilon=*/2e-2));
 }
 
-TEST_F(PackedKernelGradCheck, BatchMatMul) {
+TEST_F(ThreadedKernelGradCheck, BatchMatMul) {
   EXPECT_GRADCHECK_OK(GradCheck(
       [](const std::vector<Tensor>& in) {
         return ops::Sum(ops::Square(ops::BatchMatMul(in[0], in[1])));
       },
-      {RandInput(Shape{2, 3, 4}, 103), RandInput(Shape{2, 4, 3}, 104)}));
+      {RandInput(Shape{2, 8, 16}, 103, 0.5f),
+       RandInput(Shape{2, 16, 16}, 104, 0.5f)},
+      /*epsilon=*/2e-2));
 }
 
-TEST_F(PackedKernelGradCheck, Conv2dMultiSampleBatch) {
+TEST_F(ThreadedKernelGradCheck, Conv2dMultiSampleBatch) {
   // Batch of 3 so the conv backward fans out and reduces per-chunk scratch.
   EXPECT_GRADCHECK_OK(GradCheck(
       [](const std::vector<Tensor>& in) {
@@ -451,7 +448,7 @@ TEST_F(PackedKernelGradCheck, Conv2dMultiSampleBatch) {
       /*epsilon=*/2e-2));
 }
 
-TEST_F(PackedKernelGradCheck, Conv2dStride2NoBias) {
+TEST_F(ThreadedKernelGradCheck, Conv2dStride2NoBias) {
   EXPECT_GRADCHECK_OK(GradCheck(
       [](const std::vector<Tensor>& in) {
         return ops::Sum(ops::Square(ops::Conv2d(in[0], in[1], Tensor(), 2, 0)));

@@ -115,30 +115,6 @@ TEST(KernelContextTest, NestedParallelRunsSerially) {
   EXPECT_EQ(total.load(), 800);
 }
 
-// The batch-invariant GEMM policy is thread-local; a region must carry the
-// launcher's setting into every chunk, whichever pool thread runs it, and
-// leave each thread's own setting as it found it.
-TEST(KernelContextTest, RegionChunksRunUnderLauncherGemmPolicy) {
-  ThreadScope threads(4);
-  constexpr int64_t kChunks = 64;
-  std::vector<std::atomic<int>> seen(kChunks);
-  for (auto& s : seen) s.store(-1);
-  auto record = [&seen](int64_t begin, int64_t) {
-    seen[begin].store(kernels::BatchInvariantGemmEnabled() ? 1 : 0);
-  };
-  {
-    kernels::BatchInvariantGemmScope invariant;
-    kernels::ParallelChunks(kChunks, 1, record);
-  }
-  for (int64_t c = 0; c < kChunks; ++c) EXPECT_EQ(seen[c].load(), 1) << c;
-  EXPECT_FALSE(kernels::BatchInvariantGemmEnabled());
-
-  // And the other way round: workers that ran invariant chunks above must
-  // not keep the policy for a launcher that has it off.
-  kernels::ParallelChunks(kChunks, 1, record);
-  for (int64_t c = 0; c < kChunks; ++c) EXPECT_EQ(seen[c].load(), 0) << c;
-}
-
 TEST(MatMulKernelTest, GemmNNMatchesNaiveAndIsThreadInvariant) {
   const int64_t m = 37, k = 53, n = 41;  // ragged: exercises all tails
   const std::vector<float> a = RandVec(m * k, 2), b = RandVec(k * n, 3);

@@ -35,7 +35,6 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "tensor/kernels/kernel_context.h"
-#include "tensor/kernels/matmul_kernel.h"
 #include "tensor/tensor.h"
 #include "util/env.h"
 #include "util/rng.h"
@@ -638,11 +637,10 @@ class ServeTest : public ::testing::Test {
   }
 
   /// Quiesced single-request reference through the same fused entry points
-  /// the engine uses, under the same batch-invariant GEMM dispatch the
-  /// engine pins (kernel choice must not depend on batch composition, so a
-  /// b=1 eval reproduces every row of any server-side micro-batch bitwise).
+  /// the engine uses. Every GEMM tier computes the same fma chain, so the
+  /// kernels a b=1 eval picks reproduce every row of any server-side
+  /// micro-batch bitwise.
   std::vector<float> Reference(const Request& request) const {
-    kernels::BatchInvariantGemmScope invariant_dispatch;
     const int64_t n = static_cast<int64_t>(request.pixels.size());
     Tensor image = Tensor::Uninitialized(Shape{1, config_.channels,
                                                config_.image_hw,

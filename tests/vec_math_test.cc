@@ -4,17 +4,16 @@
 //  1. Accuracy: ExpPs / TanhPs stay within 2 ULP of the correctly rounded
 //     result (double-precision libm rounded to float) over dense sweeps of
 //     their interesting ranges and at adversarial inputs (+-0, denormals,
-//     +-inf, NaN, the under/overflow boundaries). GeluApprox is the literal
+//     +-inf, NaN, the under/overflow boundaries). GeluPsScalar is the literal
 //     composition of the documented primitives, so its bound is the tanh
 //     error amplified by the (1 + tanh) cancellation in the negative tail:
 //     |err| <= 2 ulp(ref) + |0.5 x| * 2^-22 (see docs/kernels.md).
 //  2. Tier invariance: the scalar chain, the AVX2 8-lane kernel and the
-//     AVX-512 16-lane kernel produce bitwise identical buffers for every
-//     tail length 1..2*lanes — the dispatch seam must be invisible.
-//  3. Thread invariance + mode isolation: the parallel maps and the shared
-//     softmax row arithmetic are bitwise identical at 1/2/8 threads in both
-//     numerics modes, and CDCL_VEC_MATH=0 reproduces the legacy libm loops
-//     exactly.
+//     AVX-512 16-lane kernel (selected through the ISA cap) produce bitwise
+//     identical buffers for every tail length 1..2*lanes — the dispatch seam
+//     must be invisible.
+//  3. Thread invariance: the parallel maps and the shared softmax and
+//     LayerNorm row arithmetic are bitwise identical at 1/2/8 threads.
 
 #include <cmath>
 #include <cstdint>
@@ -27,12 +26,10 @@
 
 #include "gtest/gtest.h"
 #include "tensor/kernels/fused_eval.h"
-#include "tensor/kernels/fused_train.h"
 #include "tensor/kernels/kernel_context.h"
 #include "tensor/kernels/layernorm.h"
 #include "tensor/kernels/matmul_internal.h"
 #include "tensor/kernels/matmul_kernel.h"
-#include "tensor/kernels/scalar_math.h"
 #include "tensor/kernels/vec_math.h"
 
 namespace cdcl {
@@ -41,15 +38,10 @@ namespace {
 
 class VecMathSettingsScope {
  public:
-  VecMathSettingsScope() : vec_math_(VecMathEnabled()) {}
   ~VecMathSettingsScope() {
     SetNumThreads(0);
-    SetVecMath(vec_math_);
-    SetVecMathIsa(VecMathIsa::kAuto);
+    SetIsaCap(IsaCap::kAvx512);
   }
-
- private:
-  bool vec_math_;
 };
 
 /// Distance in units-in-the-last-place via the ordered-integer mapping.
@@ -161,26 +153,19 @@ TEST(VecMathTest, GeluWithinCancellationAmplifiedBound) {
 
 void ExpectTierBitwise(void (*kernel)(int64_t, const float*, float*),
                        float (*scalar)(float), const std::string& name) {
-  std::vector<VecMathIsa> tiers = {VecMathIsa::kScalar};
-  if (CpuHasAvx2Fma()) {
-    tiers.push_back(VecMathIsa::kAvx2);
-  } else {
-    // Make the coverage gap visible: a green run on this host says nothing
-    // about the SIMD chains' bitwise parity.
-    std::printf("[  NOTE    ] %s: no AVX2/FMA — SIMD tiers resolve to the "
+  // A cap above what the host has resolves to its widest tier, so the sweep
+  // always covers everything the host can run. Make a coverage gap visible:
+  // a green run then says nothing about the missing SIMD chains' parity.
+  if (!CpuHasAvx2Fma()) {
+    std::printf("[  NOTE    ] %s: no AVX2/FMA — every cap resolves to the "
                 "scalar chain, SIMD kernels unexercised\n",
                 name.c_str());
-  }
-  // kAuto resolves to the widest tier (AVX-512 where available, else AVX2),
-  // so the sweep always covers everything the host can run; forcing kAvx512
-  // on a non-AVX-512 host degrades to the scalar chain (note it).
-  tiers.push_back(VecMathIsa::kAvx512);
-  tiers.push_back(VecMathIsa::kAuto);
-  if (CpuHasAvx2Fma() && !internal::Avx512Available()) {
-    std::printf("[  NOTE    ] %s: no AVX-512F — the kAvx512 leg resolves to "
-                "the scalar chain; widest tier under test is AVX2\n",
+  } else if (!internal::Avx512Available()) {
+    std::printf("[  NOTE    ] %s: no AVX-512F — the kAvx512 cap resolves to "
+                "AVX2; widest tier under test is AVX2\n",
                 name.c_str());
   }
+  const IsaCap tiers[] = {IsaCap::kScalar, IsaCap::kAvx2, IsaCap::kAvx512};
 
   // Dense values spanning all branches plus the adversarial set, swept at
   // every tail length 1..32 (2x the widest lane count) and offset.
@@ -197,8 +182,8 @@ void ExpectTierBitwise(void (*kernel)(int64_t, const float*, float*),
       std::vector<float> want(static_cast<size_t>(len));
       for (int64_t i = 0; i < len; ++i) want[static_cast<size_t>(i)] =
           scalar(x[i]);
-      for (VecMathIsa tier : tiers) {
-        SetVecMathIsa(tier);
+      for (IsaCap tier : tiers) {
+        SetIsaCap(tier);
         std::vector<float> got(static_cast<size_t>(len), 0.0f);
         kernel(len, x, got.data());
         for (int64_t i = 0; i < len; ++i) {
@@ -211,7 +196,7 @@ void ExpectTierBitwise(void (*kernel)(int64_t, const float*, float*),
               << got[static_cast<size_t>(i)];
         }
       }
-      SetVecMathIsa(VecMathIsa::kAuto);
+      SetIsaCap(IsaCap::kAvx512);
     }
   }
 }
@@ -232,9 +217,9 @@ TEST(VecMathTest, GeluBitwiseAcrossIsaTiersAndTails) {
   ExpectTierBitwise(&GeluGradPs, &GeluGradPsScalar, "gelu_grad");
 }
 
-// --- 3. Thread invariance + mode isolation ---------------------------------
+// --- 3. Thread invariance -------------------------------------------------
 
-TEST(VecMathTest, MapsBitwiseAcrossThreadCountsInBothModes) {
+TEST(VecMathTest, MapsBitwiseAcrossThreadCounts) {
   VecMathSettingsScope restore;
   const int64_t rows = 64, width = 37;
   const int64_t n = rows * width;
@@ -243,70 +228,37 @@ TEST(VecMathTest, MapsBitwiseAcrossThreadCountsInBothModes) {
     x[static_cast<size_t>(i)] = -6.0f + 12.0f * static_cast<float>(i) /
                                             static_cast<float>(n);
   }
-  for (const bool vec : {true, false}) {
-    SetVecMath(vec);
-    std::vector<std::vector<float>> gelu_runs, softmax_runs, ln_runs;
-    for (int64_t threads : {int64_t{1}, int64_t{2}, int64_t{8}}) {
-      SetNumThreads(threads);
-      std::vector<float> g(x);
-      GeluMap(n, x.data(), g.data());
-      gelu_runs.push_back(std::move(g));
-      std::vector<float> s(x);
-      SoftmaxRows(rows, width, s.data());
-      softmax_runs.push_back(std::move(s));
-      std::vector<float> out(static_cast<size_t>(n)),
-          inv(static_cast<size_t>(rows)), hat(static_cast<size_t>(n)),
-          gamma(static_cast<size_t>(width), 1.25f),
-          beta(static_cast<size_t>(width), -0.5f);
-      LayerNormForwardRows(rows, width, x.data(), gamma.data(), beta.data(),
-                           1e-5f, out.data(), inv.data(), hat.data());
-      ln_runs.push_back(std::move(out));
-    }
-    for (size_t r = 1; r < gelu_runs.size(); ++r) {
-      ASSERT_EQ(std::memcmp(gelu_runs[0].data(), gelu_runs[r].data(),
-                            gelu_runs[0].size() * sizeof(float)),
-                0)
-          << "gelu vec=" << vec << " run=" << r;
-      ASSERT_EQ(std::memcmp(softmax_runs[0].data(), softmax_runs[r].data(),
-                            softmax_runs[0].size() * sizeof(float)),
-                0)
-          << "softmax vec=" << vec << " run=" << r;
-      ASSERT_EQ(std::memcmp(ln_runs[0].data(), ln_runs[r].data(),
-                            ln_runs[0].size() * sizeof(float)),
-                0)
-          << "layernorm vec=" << vec << " run=" << r;
-    }
+  std::vector<std::vector<float>> gelu_runs, softmax_runs, ln_runs;
+  for (int64_t threads : {int64_t{1}, int64_t{2}, int64_t{8}}) {
+    SetNumThreads(threads);
+    std::vector<float> g(x);
+    GeluMapVec(n, x.data(), g.data());
+    gelu_runs.push_back(std::move(g));
+    std::vector<float> s(x);
+    SoftmaxRows(rows, width, s.data());
+    softmax_runs.push_back(std::move(s));
+    std::vector<float> out(static_cast<size_t>(n)),
+        inv(static_cast<size_t>(rows)), hat(static_cast<size_t>(n)),
+        gamma(static_cast<size_t>(width), 1.25f),
+        beta(static_cast<size_t>(width), -0.5f);
+    LayerNormForwardRows(rows, width, x.data(), gamma.data(), beta.data(),
+                         1e-5f, out.data(), inv.data(), hat.data());
+    ln_runs.push_back(std::move(out));
   }
-}
-
-TEST(VecMathTest, LegacyModeReproducesLibmLoops) {
-  VecMathSettingsScope restore;
-  SetVecMath(false);
-  // GeluApprox: byte-for-byte the pre-tier libm expression.
-  for (double x = -8.0; x <= 8.0; x += 0.0113) {
-    const float xf = static_cast<float>(x);
-    constexpr float kC = 0.7978845608f;
-    const float t = std::tanh(kC * (xf + 0.044715f * xf * xf * xf));
-    const float want = 0.5f * xf * (1.0f + t);
-    const float got = GeluApprox(xf);
-    ASSERT_EQ(std::memcmp(&want, &got, sizeof(float)), 0) << "x=" << xf;
+  for (size_t r = 1; r < gelu_runs.size(); ++r) {
+    ASSERT_EQ(std::memcmp(gelu_runs[0].data(), gelu_runs[r].data(),
+                          gelu_runs[0].size() * sizeof(float)),
+              0)
+        << "gelu run=" << r;
+    ASSERT_EQ(std::memcmp(softmax_runs[0].data(), softmax_runs[r].data(),
+                          softmax_runs[0].size() * sizeof(float)),
+              0)
+        << "softmax run=" << r;
+    ASSERT_EQ(std::memcmp(ln_runs[0].data(), ln_runs[r].data(),
+                          ln_runs[0].size() * sizeof(float)),
+              0)
+        << "layernorm run=" << r;
   }
-  // SoftmaxRow: the legacy fused exp-and-sum loop.
-  std::vector<float> in = {0.3f, -1.7f, 2.2f, 0.0f, -0.4f, 5.1f, -3.3f};
-  std::vector<float> got(in.size());
-  SoftmaxRow(in.data(), got.data(), static_cast<int64_t>(in.size()));
-  float mx = in[0];
-  for (float v : in) mx = std::max(mx, v);
-  std::vector<float> want(in.size());
-  float z = 0.0f;
-  for (size_t j = 0; j < in.size(); ++j) {
-    want[j] = std::exp(in[j] - mx);
-    z += want[j];
-  }
-  const float inv = 1.0f / z;
-  for (size_t j = 0; j < in.size(); ++j) want[j] *= inv;
-  ASSERT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)),
-            0);
 }
 
 }  // namespace
