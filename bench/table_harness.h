@@ -8,8 +8,6 @@
 //   CDCL_SEEDS         number of seeds averaged (default 1)
 //   CDCL_NUM_THREADS   worker threads for the shared kernel pool (default:
 //                      hardware concurrency)
-//   CDCL_FUSED_EVAL    0 disables the fused batched inference path (bitwise
-//                      identical either way; escape hatch only)
 //   CDCL_EVAL_BATCH    batch size for the inference-only passes (default:
 //                      CDCL_BATCH; larger feeds the fused path wider GEMMs)
 //   CDCL_EPOCHS, CDCL_WARMUP, CDCL_BATCH, CDCL_MEMORY,

@@ -9,7 +9,7 @@
 // Environment knobs: CDCL_EPOCHS, CDCL_WARMUP, CDCL_TRAIN_PER_CLASS, ...
 // (see core/driver.h and the knob table in the top-level README.md).
 // Evaluation rides the fused batched inference path; CDCL_EVAL_BATCH widens
-// its GEMMs and CDCL_FUSED_EVAL=0 falls back to the op-by-op forward.
+// its GEMMs.
 
 #include <cstdio>
 

@@ -11,8 +11,7 @@
 # serve-while-train snapshot hand-off, scheduler epoch protocol) with the
 # soak volumes bumped, the
 # crash-safety fault matrix (checkpoint commit-protocol crashes, corruption
-# fallback, trainer-death degradation) under ASan and TSan plus a
-# restore-determinism rerun with the step arena off, an examples
+# fallback, trainer-death degradation) under ASan and TSan, an examples
 # build check, and a docs knob-consistency grep both ways (README.md must
 # not document env knobs that no longer exist in the source, and every knob
 # the source reads needs a README row). Usage: scripts/verify.sh [jobs]
@@ -107,14 +106,6 @@ else
   echo "verify: NOTE — toolchain lacks ThreadSanitizer support, TSan pass skipped"
 fi
 
-echo "== restore determinism: kill-and-resume rerun with the step arena off =="
-# The bitwise kill-and-resume pin already ran in Debug, Release, and ASan;
-# here it reruns with the step arena disabled — a checkpoint written in
-# either arena mode must resume bitwise-identically in that mode, or the
-# determinism contract is a configuration accident.
-CDCL_ARENA=0 "build-verify-release/ckpt_test" \
-  --gtest_filter='CheckpointTest.KillAndResumeIsBitwiseIdenticalToUninterruptedRun'
-
 echo "== docs: README knob consistency =="
 # Every CDCL_* knob README.md documents must still be *read* somewhere — an
 # Env*()/getenv() call in the source or a CMake option — so the docs cannot
@@ -141,4 +132,4 @@ if [[ "${stale}" -ne 0 ]]; then
   exit 1
 fi
 
-echo "verify: OK (Debug + Release + examples + ASan/UBSan + fault matrix + 4/8-thread reruns + TSan + restore determinism + docs knobs)"
+echo "verify: OK (Debug + Release + examples + ASan/UBSan + fault matrix + 4/8-thread reruns + TSan + docs knobs)"

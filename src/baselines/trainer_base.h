@@ -169,8 +169,8 @@ class TrainerBase : public cl::ContinualTrainer {
   /// `ArenaScope(&arena_)`, so step-scoped tensors are bump allocations that
   /// vanish at the scope's reset instead of heap round-trips. Parameters,
   /// optimizer state and datasets live outside the scopes and stay
-  /// heap-owned. CDCL_ARENA=0 disables the scopes (bitwise-identical
-  /// results either way; tests/arena_test.cc).
+  /// heap-owned. The SetArenaEnabled(false) test seam disables the scopes
+  /// (bitwise-identical results either way; tests/arena_test.cc).
   Arena arena_;
 };
 

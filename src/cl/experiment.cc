@@ -40,7 +40,7 @@ Result<ContinualResult> RunContinualExperiment(
     if (!options.evaluate) continue;
     // Lower-triangle evaluation: every pass below is inference-only, so the
     // trainers run it through the fused batched eval path (bitwise identical
-    // to the training-time forward; CDCL_FUSED_EVAL=0 restores the op path).
+    // to the training-time forward).
     for (int64_t j = 0; j <= t; ++j) {
       const data::TensorDataset& test = stream.task(j).target_test;
       result.til.Set(t, j, trainer->EvaluateTil(test, j));

@@ -17,6 +17,33 @@ baselines::TrainerOptions ResolveOptions(const CdclOptions& options) {
   return o;
 }
 
+/// A replay batch's stored CIL logits as (records, width) tensors: the
+/// targets of the logit-replay term L_R^Z (eq. 22). Every record must carry
+/// the first record's width.
+struct StoredLogits {
+  Tensor source;
+  Tensor target;
+};
+
+StoredLogits GatherStoredLogits(
+    const baselines::TrainerBase::ReplayBatch& rb) {
+  const int64_t width =
+      static_cast<int64_t>(rb.records[0]->source_logits.size());
+  const Shape shape{static_cast<int64_t>(rb.records.size()), width};
+  StoredLogits out{Tensor::Uninitialized(shape), Tensor::Uninitialized(shape)};
+  float* ps = out.source.data();
+  float* pt = out.target.data();
+  for (const cl::MemoryRecord* record : rb.records) {
+    CDCL_CHECK_EQ(static_cast<int64_t>(record->source_logits.size()), width);
+    CDCL_CHECK_EQ(static_cast<int64_t>(record->target_logits.size()), width);
+    for (int64_t j = 0; j < width; ++j) {
+      *ps++ = record->source_logits[static_cast<size_t>(j)];
+      *pt++ = record->target_logits[static_cast<size_t>(j)];
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 CdclTrainer::CdclTrainer(const CdclOptions& options)
@@ -68,21 +95,11 @@ Tensor CdclTrainer::RehearsalLossOn(const ReplayBatch& rb, int64_t past,
     loss = ops::Add(loss, ops::CrossEntropy(cil_s, rb.labels));
     loss = ops::Add(loss, ops::CrossEntropy(cil_t, rb.labels));
     const int64_t logit_tasks = rb.records[0]->logit_tasks;
-    Tensor stored_s(Shape{static_cast<int64_t>(rb.records.size()),
-                          static_cast<int64_t>(rb.records[0]->source_logits.size())});
-    Tensor stored_t(stored_s.shape());
-    for (size_t i = 0; i < rb.records.size(); ++i) {
-      for (int64_t j = 0; j < stored_s.dim(1); ++j) {
-        stored_s.at(static_cast<int64_t>(i), j) =
-            rb.records[i]->source_logits[static_cast<size_t>(j)];
-        stored_t.at(static_cast<int64_t>(i), j) =
-            rb.records[i]->target_logits[static_cast<size_t>(j)];
-      }
-    }
+    const StoredLogits stored = GatherStoredLogits(rb);
     loss = ops::Add(
         loss, nn::LogitReplayLoss(model_->CilLogitsUpTo(zs, logit_tasks),
                                   model_->CilLogitsUpTo(zt, logit_tasks),
-                                  stored_s, stored_t));
+                                  stored.source, stored.target));
     return loss;
   }
 
@@ -102,23 +119,11 @@ Tensor CdclTrainer::RehearsalLossOn(const ReplayBatch& rb, int64_t past,
 
   // L_R^Z (eq. 22): logit replay against the stored source/target logits.
   const int64_t logit_tasks = rb.records[0]->logit_tasks;
-  const int64_t width = static_cast<int64_t>(rb.records[0]->source_logits.size());
-  Tensor stored_s(Shape{static_cast<int64_t>(rb.records.size()), width});
-  Tensor stored_t(stored_s.shape());
-  for (size_t i = 0; i < rb.records.size(); ++i) {
-    CDCL_CHECK_EQ(static_cast<int64_t>(rb.records[i]->source_logits.size()),
-                  width);
-    for (int64_t j = 0; j < width; ++j) {
-      stored_s.at(static_cast<int64_t>(i), j) =
-          rb.records[i]->source_logits[static_cast<size_t>(j)];
-      stored_t.at(static_cast<int64_t>(i), j) =
-          rb.records[i]->target_logits[static_cast<size_t>(j)];
-    }
-  }
+  const StoredLogits stored = GatherStoredLogits(rb);
   loss = ops::Add(
       loss, nn::LogitReplayLoss(model_->CilLogitsUpTo(enc.z_source, logit_tasks),
                                 model_->CilLogitsUpTo(enc.z_target, logit_tasks),
-                                stored_s, stored_t));
+                                stored.source, stored.target));
 
   // Intra-task replay: the TIL protocol re-encodes old tasks through their
   // own frozen K_i/b_i, so shared-parameter drift (tokenizer, Q/V, MLP) can

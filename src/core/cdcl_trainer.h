@@ -46,7 +46,7 @@ class CdclTrainer : public baselines::TrainerBase {
 
   /// Per-step training losses in observation order, across every epoch and
   /// task this trainer has seen. Diagnostic: tests/arena_test.cc pins this
-  /// trajectory bitwise across CDCL_ARENA / CDCL_FUSED_TRAIN settings and
+  /// trajectory bitwise across the arena and fused-train test seams and
   /// thread counts.
   const std::vector<float>& loss_trace() const { return loss_trace_; }
 

@@ -67,8 +67,8 @@ class CompactTransformer : public nn::Module {
   int64_t feature_dim() const { return config_.embed_dim; }
 
   /// Single-stream encoding a(x) (self-attention path): (b,c,h,w) -> (b,d).
-  /// When grad recording is off (and fused eval is not disabled via
-  /// nn::SetFusedEval / CDCL_FUSED_EVAL=0), the transformer stack runs
+  /// When grad recording is off (and the nn::SetFusedEval test seam has not
+  /// disabled fused eval), the transformer stack runs
   /// through the fused batched inference path: flattened (b*n, d) projection
   /// GEMMs, fused score/bias/softmax epilogues and fused MLP epilogues —
   /// bitwise identical to the op-by-op path (tests/batched_eval_test.cc).
@@ -84,12 +84,12 @@ class CompactTransformer : public nn::Module {
   /// the mixed stream accumulates per-layer cross-attention (eq. 3).
   ///
   /// This is the training hot path of a CDCL run. Under grad recording (and
-  /// unless disabled via nn::SetFusedTrain / CDCL_FUSED_TRAIN=0), every
-  /// attention call — the cross-stream eq. 3 attention and both self
-  /// streams — and every encoder MLP records ONE tape node through the
+  /// unless the nn::SetFusedTrain test seam disabled it), every pre-norm
+  /// encoder sublayer — the cross-stream eq. 3 attention, both self
+  /// streams' attention, and every MLP — records ONE tape node through the
   /// fused training forwards (tensor/fused_train.h): flattened (b*n, d)
-  /// projection GEMMs, the fused score/bias/softmax and bias/GELU epilogues
-  /// of the inference path, and hand-written backward closures that replay
+  /// projection GEMMs, the attention sweep and bias/GELU epilogues of the
+  /// inference path, and hand-written backward closures that replay
   /// the op chain's kernels. Losses, gradients and post-step parameters are
   /// bitwise identical to the op-by-op tape (tests/arena_test.cc).
   struct CrossEncoding {

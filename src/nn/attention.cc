@@ -57,14 +57,6 @@ Tensor TaskConditionedAttention::Attend(const Tensor& q_input,
   CDCL_CHECK_EQ(q_input.dim(2), dim_);
   CDCL_CHECK_EQ(kv_input.dim(1), seq_len_);
 
-  if (GradModeEnabled() && FusedTrainEnabled()) {
-    // Fused training path: the projection/score/epilogue chain records one
-    // tape node with a hand-written backward, bitwise identical to the op
-    // chain below (tensor/fused_train.h). This is the path EncodeCross and
-    // the training EncodeSelf take by default.
-    return AttendBlockTrain(q_input, kv_input, task, /*residual=*/Tensor());
-  }
-
   const float scale = 1.0f / std::sqrt(static_cast<float>(dim_));
   Tensor q = wq_->Forward(q_input);                         // (b,n,d)
   Tensor v = wv_->Forward(kv_input);                        // (b,n,d)
@@ -90,20 +82,6 @@ Tensor TaskConditionedAttention::CrossAttention(const Tensor& x_source,
                                                 const Tensor& x_target,
                                                 int64_t task) const {
   return Attend(x_source, x_target, task);
-}
-
-Tensor TaskConditionedAttention::AttendBlockTrain(const Tensor& q_input,
-                                                  const Tensor& kv_input,
-                                                  int64_t task,
-                                                  const Tensor& residual) const {
-  CDCL_CHECK(GradModeEnabled());
-  CDCL_CHECK_GE(task, 0);
-  CDCL_CHECK_LT(task, num_tasks());
-  return ops::FusedAttentionTrain(
-      q_input, kv_input, wq_->weight(),
-      wk_tasks_[static_cast<size_t>(task)]->weight(), wv_->weight(),
-      bias_tasks_[static_cast<size_t>(task)],
-      1.0f / std::sqrt(static_cast<float>(dim_)), softmax_scores_, residual);
 }
 
 Tensor TaskConditionedAttention::AttendBlockTrain(
@@ -141,11 +119,13 @@ Tensor TaskConditionedAttention::SelfAttentionFused(const Tensor& x,
   wk_tasks_[static_cast<size_t>(task)]->EvalGemm(rows, px, k.data());
   wv_->EvalGemm(rows, px, v.data());
 
+  Tensor probs = Tensor::Uninitialized(Shape{b, n, n});
   Tensor out = Tensor::Uninitialized(x.shape());
   kernels::FusedAttentionEval(
       b, n, dim_, q.data(), k.data(), v.data(),
       bias_tasks_[static_cast<size_t>(task)].data(),
-      1.0f / std::sqrt(static_cast<float>(dim_)), softmax_scores_, out.data());
+      1.0f / std::sqrt(static_cast<float>(dim_)), softmax_scores_,
+      probs.data(), out.data());
   return out;
 }
 
@@ -157,21 +137,7 @@ FeedForward::FeedForward(int64_t dim, int64_t hidden_dim, Rng* rng) {
 }
 
 Tensor FeedForward::Forward(const Tensor& x) const {
-  if (GradModeEnabled() && FusedTrainEnabled() && x.ndim() >= 3) {
-    // Fused training path: one tape node for fc1 + bias/GELU + fc2 + bias,
-    // bitwise identical to the chain below (tensor/fused_train.h). Gated on
-    // ndim >= 3 because the closure replays the Linear reshape structure.
-    return ops::FusedFeedForwardTrain(x, fc1_->weight(), fc1_->bias(),
-                                      fc2_->weight(), fc2_->bias());
-  }
   return fc2_->Forward(ops::Gelu(fc1_->Forward(x)));
-}
-
-Tensor FeedForward::ForwardBlockTrain(const Tensor& x,
-                                      const Tensor& residual) const {
-  CDCL_CHECK(GradModeEnabled());
-  return ops::FusedFeedForwardTrain(x, fc1_->weight(), fc1_->bias(),
-                                    fc2_->weight(), fc2_->bias(), residual);
 }
 
 Tensor FeedForward::ForwardBlockTrain(const Tensor& x_raw,

@@ -37,34 +37,22 @@ class TaskConditionedAttention : public Module {
   int64_t dim() const { return dim_; }
 
   /// Self-attention (eq. 2): single stream provides Q, K_i, b_i and V.
-  /// x: (b, n, d) -> (b, n, d).
-  ///
-  /// Under grad recording both attention entry points take the fused
-  /// training path by default (ops::FusedAttentionTrain: one tape node,
-  /// flattened projection GEMMs + fused score epilogue, hand-written
-  /// backward) — bitwise identical to the op-by-op chain;
-  /// nn::SetFusedTrain / CDCL_FUSED_TRAIN=0 restores the op chain.
+  /// x: (b, n, d) -> (b, n, d). Always the op chain, under grad too: it is
+  /// the reference the fused sublayer node is tested against.
   Tensor SelfAttention(const Tensor& x, int64_t task) const;
 
   /// Cross-attention (eq. 3): Q from the source stream; K_i, b_i and V from
-  /// the target stream. Both (b, n, d) -> (b, n, d). Same fused training
-  /// path as SelfAttention.
+  /// the target stream. Both (b, n, d) -> (b, n, d). Op chain, like
+  /// SelfAttention.
   Tensor CrossAttention(const Tensor& x_source, const Tensor& x_target,
                         int64_t task) const;
-
-  /// Fused training sublayer: residual + Attend(q_input, kv_input) recorded
-  /// as ONE tape node (the encoder block's pre-norm attention sublayer with
-  /// its residual add folded in). `residual` may be undefined (the cross
-  /// stream's first layer contributes pure cross-attention). Only valid
-  /// under grad recording with the fused training path enabled;
-  /// TransformerEncoderLayer routes through this.
-  Tensor AttendBlockTrain(const Tensor& q_input, const Tensor& kv_input,
-                          int64_t task, const Tensor& residual) const;
 
   /// Fused training sublayer with the block's pre-norm folded in:
   /// residual + Attend(LN(q_raw), LN(kv_raw)) recorded as one tape node
   /// (plus a companion LN node for the q stream in the cross case — see
-  /// tensor/fused_train.h). Raw (un-normed) hidden states go in;
+  /// tensor/fused_train.h). Raw (un-normed) hidden states go in; `residual`
+  /// may be undefined (the cross stream's first layer contributes pure
+  /// cross-attention). Only valid under grad recording;
   /// TransformerEncoderLayer routes SelfForward/CrossForward through this.
   Tensor AttendBlockTrain(const Tensor& q_raw, const Tensor& kv_raw,
                           int64_t task, const Tensor& residual,
@@ -97,19 +85,12 @@ class FeedForward : public Module {
  public:
   FeedForward(int64_t dim, int64_t hidden_dim, Rng* rng);
 
-  /// Under grad recording (ndim >= 3 inputs) this takes the fused training
-  /// path (ops::FusedFeedForwardTrain: one node, fused bias/GELU epilogue,
-  /// hand-written backward), bitwise identical to fc2(gelu(fc1(x)));
-  /// nn::SetFusedTrain / CDCL_FUSED_TRAIN=0 restores the op chain.
+  /// fc2(gelu(fc1(x))) as the op chain, the reference for the fused nodes.
   Tensor Forward(const Tensor& x) const;
 
-  /// Fused training sublayer: residual + Forward(x) as one tape node (the
-  /// encoder block's pre-norm MLP sublayer with its residual add folded in).
-  /// Only valid under grad recording with the fused training path enabled.
-  Tensor ForwardBlockTrain(const Tensor& x, const Tensor& residual) const;
-
-  /// Fused training sublayer with the block's pre-norm (norm2) folded into
-  /// the same node: residual + Forward(LN(x_raw)).
+  /// Fused training sublayer: the encoder block's pre-norm MLP sublayer,
+  /// residual + Forward(LN(x_raw)), as one tape node
+  /// (ops::FusedFeedForwardLayerTrain). Only valid under grad recording.
   Tensor ForwardBlockTrain(const Tensor& x_raw, const Tensor& residual,
                            const LayerNorm& pre_norm) const;
 
@@ -166,8 +147,8 @@ class SequencePool : public Module {
 
   /// Under grad recording this takes the fused training path
   /// (ops::FusedSequencePoolTrain: one node, hand-written backward),
-  /// bitwise identical to the op chain; nn::SetFusedTrain /
-  /// CDCL_FUSED_TRAIN=0 restores the op chain.
+  /// bitwise identical to the op chain; the nn::SetFusedTrain test seam
+  /// restores the op chain.
   Tensor Forward(const Tensor& x) const;
 
   /// Inference-path pooling: importance logits as one (b*n, 1) GEMM with a

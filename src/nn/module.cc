@@ -2,42 +2,31 @@
 
 #include <atomic>
 
-#include "util/env.h"
 #include "util/logging.h"
 
 namespace cdcl {
 namespace nn {
 namespace {
 
-std::atomic<int> g_fused_eval{-1};   // -1 = unresolved (consult env once)
-std::atomic<int> g_fused_train{-1};  // -1 = unresolved (consult env once)
+std::atomic<bool> g_fused_eval{true};
+std::atomic<bool> g_fused_train{true};
 
 }  // namespace
 
 bool FusedEvalEnabled() {
-  int state = g_fused_eval.load(std::memory_order_relaxed);
-  if (state < 0) {
-    state = EnvBool("CDCL_FUSED_EVAL", true) ? 1 : 0;
-    g_fused_eval.store(state, std::memory_order_relaxed);
-  }
-  return state == 1;
+  return g_fused_eval.load(std::memory_order_relaxed);
 }
 
 void SetFusedEval(bool enabled) {
-  g_fused_eval.store(enabled ? 1 : 0, std::memory_order_relaxed);
+  g_fused_eval.store(enabled, std::memory_order_relaxed);
 }
 
 bool FusedTrainEnabled() {
-  int state = g_fused_train.load(std::memory_order_relaxed);
-  if (state < 0) {
-    state = EnvBool("CDCL_FUSED_TRAIN", true) ? 1 : 0;
-    g_fused_train.store(state, std::memory_order_relaxed);
-  }
-  return state == 1;
+  return g_fused_train.load(std::memory_order_relaxed);
 }
 
 void SetFusedTrain(bool enabled) {
-  g_fused_train.store(enabled ? 1 : 0, std::memory_order_relaxed);
+  g_fused_train.store(enabled, std::memory_order_relaxed);
 }
 
 Tensor Module::RegisterParameter(std::string name, Tensor tensor) {

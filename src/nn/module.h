@@ -10,23 +10,21 @@
 namespace cdcl {
 namespace nn {
 
-/// Whether no-grad forwards should take the fused batched-eval path (fused
-/// attention / bias+activation epilogues over raw kernel buffers) instead of
-/// the op-by-op tensor path. The two paths are bitwise identical (see
-/// tests/batched_eval_test.cc); the toggle exists as an escape hatch and so
-/// tests/benches can time both sides. Resolution: SetFusedEval() if called,
-/// else the CDCL_FUSED_EVAL env var, else enabled.
+/// Test seam: whether no-grad forwards take the fused batched-eval path
+/// (fused attention / bias+activation epilogues over raw kernel buffers)
+/// instead of the op-by-op tensor path. The two paths are bitwise identical
+/// (tests/batched_eval_test.cc); the seam lets tests compare both sides.
+/// Enabled unless SetFusedEval(false) was called.
 bool FusedEvalEnabled();
 void SetFusedEval(bool enabled);
 
-/// Whether *recorded* (training) forwards should take the fused training
-/// path: attention and the encoder MLP each record one tape node whose
-/// forward runs flattened GEMMs + fused epilogues and whose hand-written
-/// backward replays the op chain's kernels (tensor/fused_train.h). Bitwise
-/// identical to the op-by-op tape — losses, gradients and post-step
-/// parameters match at every thread count and GEMM kernel selection
-/// (tests/arena_test.cc). Resolution: SetFusedTrain() if called, else the
-/// CDCL_FUSED_TRAIN env var, else enabled.
+/// Test seam: whether *recorded* (training) forwards take the fused
+/// training path: each pre-norm encoder sublayer and the sequence pool
+/// record one tape node whose hand-written backward replays the op chain's
+/// kernels (tensor/fused_train.h). Bitwise identical to the op-by-op tape —
+/// losses, gradients and post-step parameters match at every thread count
+/// and ISA cap (tests/arena_test.cc). Enabled unless SetFusedTrain(false)
+/// was called.
 bool FusedTrainEnabled();
 void SetFusedTrain(bool enabled);
 

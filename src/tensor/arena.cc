@@ -4,7 +4,6 @@
 #include <cstring>
 #include <new>
 
-#include "util/env.h"
 #include "util/logging.h"
 
 // Under AddressSanitizer the bump allocator would hide lifetime bugs (reset
@@ -28,23 +27,16 @@ namespace {
 constexpr int64_t kInitialBlockFloats = 1 << 18;  // 1 MiB
 constexpr size_t kBlockAlignment = 64;            // cache line / ZMM width
 
-std::atomic<int> g_arena_enabled{-1};  // -1 = unresolved (consult env once)
+std::atomic<bool> g_arena_enabled{true};
 
 thread_local Arena* g_active_arena = nullptr;
 
 }  // namespace
 
-bool ArenaEnabled() {
-  int state = g_arena_enabled.load(std::memory_order_relaxed);
-  if (state < 0) {
-    state = EnvBool("CDCL_ARENA", true) ? 1 : 0;
-    g_arena_enabled.store(state, std::memory_order_relaxed);
-  }
-  return state == 1;
-}
+bool ArenaEnabled() { return g_arena_enabled.load(std::memory_order_relaxed); }
 
 void SetArenaEnabled(bool enabled) {
-  g_arena_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
+  g_arena_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 namespace internal {

@@ -24,8 +24,8 @@ namespace cdcl {
 // The arena changes *where* bytes live, never *what* is computed: kernels see
 // the same sizes and contents either way, so results are bitwise identical
 // with the arena on or off (tests/arena_test.cc pins this across thread
-// counts and GEMM kernels). CDCL_ARENA=0 / SetArenaEnabled(false) is the
-// escape hatch that turns every scope into a no-op.
+// counts and ISA caps). SetArenaEnabled(false) is the test seam that turns
+// every scope into a no-op.
 //
 // Lifetime contract: memory handed out by Allocate() is valid until the
 // owning scope ends (which Reset()s the arena). A tensor that must outlive
@@ -79,8 +79,8 @@ class Arena {
   std::vector<float*> asan_allocations_;
 };
 
-/// Whether ArenaScope should activate arenas at all. Resolution:
-/// SetArenaEnabled() if called, else the CDCL_ARENA env var, else enabled.
+/// Test seam: whether ArenaScope activates arenas at all. Enabled unless
+/// SetArenaEnabled(false) was called.
 bool ArenaEnabled();
 void SetArenaEnabled(bool enabled);
 

@@ -9,7 +9,7 @@
 #include "tensor/kernels/layernorm.h"
 #include "tensor/kernels/matmul_kernel.h"
 #include "tensor/kernels/parallel.h"
-#include "tensor/kernels/scalar_math.h"
+#include "tensor/kernels/vec_math.h"
 #include "util/logging.h"
 
 namespace cdcl {
@@ -20,7 +20,7 @@ using cdcl::internal::TensorImpl;
 using internal::AttachNode;
 using internal::NeedsGrad;
 
-// Both closures replicate the tape backward of the op chain they replace.
+// Every closure replicates the tape backward of the op chain it replaces.
 // Two rules keep that replication bitwise:
 //
 //  1. Gradients the op path GEMM-accumulates into a zeroed scratch are
@@ -68,231 +68,6 @@ void LayerNormBackwardInto(int64_t rows, int64_t d, const float* g,
 }
 
 }  // namespace
-
-Tensor FusedAttentionTrain(const Tensor& q_input, const Tensor& kv_input,
-                           const Tensor& wq, const Tensor& wk, const Tensor& wv,
-                           const Tensor& bias, float scale, bool softmax,
-                           const Tensor& residual) {
-  CDCL_CHECK_EQ(q_input.ndim(), 3);
-  CDCL_CHECK_EQ(kv_input.ndim(), 3);
-  const int64_t b = q_input.dim(0), n = q_input.dim(1), d = q_input.dim(2);
-  CDCL_CHECK_EQ(kv_input.dim(0), b);
-  CDCL_CHECK_EQ(kv_input.dim(1), n);
-  CDCL_CHECK_EQ(kv_input.dim(2), d);
-  CDCL_CHECK_EQ(wq.dim(0), d);
-  CDCL_CHECK_EQ(wq.dim(1), d);
-  CDCL_CHECK(wk.shape() == wq.shape());
-  CDCL_CHECK(wv.shape() == wq.shape());
-  const bool has_bias = bias.defined();
-  if (has_bias) CDCL_CHECK_EQ(bias.NumElements(), n);
-  const bool has_res = residual.defined();
-  if (has_res) CDCL_CHECK(residual.shape() == q_input.shape());
-  const int64_t rows = b * n;
-
-  // Projections as single flattened (b*n, d) GEMMs — the exact calls
-  // Linear::Forward issues after its reshape, minus the tape plumbing.
-  Tensor q = Tensor::Uninitialized(q_input.shape());
-  Tensor v = Tensor::Uninitialized(kv_input.shape());
-  Tensor k = Tensor::Uninitialized(kv_input.shape());
-  kernels::GemmNN(rows, d, d, q_input.data(), wq.data(), q.data(),
-                  /*accumulate=*/false);
-  kernels::GemmNN(rows, d, d, kv_input.data(), wv.data(), v.data(),
-                  /*accumulate=*/false);
-  kernels::GemmNN(rows, d, d, kv_input.data(), wk.data(), k.data(),
-                  /*accumulate=*/false);
-
-  // Per-sample Q K^T, then the fused (s + bias) * scale [+ softmax] row
-  // epilogue in place. `probs` is the one saved score tensor (the op path
-  // materializes four).
-  Tensor probs = Tensor::Uninitialized(Shape{b, n, n});
-  {
-    const float* pq = q.data();
-    const float* pk = k.data();
-    float* ps = probs.data();
-    kernels::ForEachBatch(b, [=](int64_t bi) {
-      kernels::GemmNT(n, n, d, pq + bi * n * d, pk + bi * n * d,
-                      ps + bi * n * n, /*accumulate=*/false);
-    });
-    const float* pbias = has_bias ? bias.data() : nullptr;
-    float* pp = probs.data();
-    kernels::RowMap(b * n, n, [=](int64_t r) {
-      kernels::ScoreEpilogueRow(pp + r * n, n, pbias, scale, softmax);
-    });
-  }
-
-  // out = probs · V, per sample; then the folded residual add (the op
-  // chain's trailing ops::Add, same operand order) in one pass.
-  Tensor out = Tensor::Uninitialized(q_input.shape());
-  {
-    const float* pp = probs.data();
-    const float* pv = v.data();
-    float* po = out.data();
-    kernels::ForEachBatch(b, [=](int64_t bi) {
-      kernels::GemmNN(n, d, n, pp + bi * n * n, pv + bi * n * d,
-                      po + bi * n * d, /*accumulate=*/false);
-    });
-    if (has_res) {
-      const float* pr = residual.data();
-      kernels::EltwiseMap(rows * d,
-                          [po, pr](int64_t i) { po[i] = pr[i] + po[i]; });
-    }
-  }
-
-  // Forward-time requires_grad propagation of the replaced chain; the
-  // closure's skip conditions mirror the nodes the op path would have
-  // recorded. Leaf flags are re-read at backward time, like the op closures.
-  auto xq_impl = q_input.impl();
-  auto xkv_impl = kv_input.impl();
-  auto wq_impl = wq.impl();
-  auto wk_impl = wk.impl();
-  auto wv_impl = wv.impl();
-  auto bias_impl = has_bias ? bias.impl() : nullptr;
-  auto res_impl = has_res ? residual.impl() : nullptr;
-  const bool xq_rg = q_input.requires_grad();
-  const bool xkv_rg = kv_input.requires_grad();
-  const bool q_rg = xq_rg || wq.requires_grad();
-  const bool v_rg = xkv_rg || wv.requires_grad();
-  const bool k_rg = xkv_rg || wk.requires_grad();
-  const bool s0_rg = q_rg || k_rg;
-  const bool probs_rg = s0_rg || (has_bias && bias.requires_grad());
-
-  // The residual leads the input list: the op chain's trailing Add explores
-  // its residual operand first, so the reverse schedule runs the residual's
-  // own subtree backward last — the input order reproduces that.
-  std::vector<Tensor> inputs;
-  if (has_res) inputs.push_back(residual);
-  inputs.insert(inputs.end(), {q_input, kv_input, wq, wk, wv});
-  if (has_bias) inputs.push_back(bias);
-
-  AttachNode(&out, inputs, "fused_attention", [=](TensorImpl& o) {
-    const float* g = o.grad.data();
-
-    // Folded residual add backward first (the op chain's Add is the last
-    // recorded op): dresidual += g; the attention-output side is the
-    // normalized pass-through g itself.
-    if (has_res && NeedsGrad(res_impl)) {
-      res_impl->AccumulateGrad(g, rows * d);
-    }
-
-    // bmm(probs, v) backward: per-sample dprobs += G V^T and dV += P^T G,
-    // interleaved per batch entry exactly like the op node.
-    Tensor g_probs, g_v;
-    if (probs_rg) g_probs = Tensor(Shape{b, n, n});
-    if (v_rg) g_v = Tensor(Shape{b, n, d});
-    {
-      const float* pp = probs.data();
-      const float* pv = v.data();
-      float* gp = probs_rg ? g_probs.data() : nullptr;
-      float* gv = v_rg ? g_v.data() : nullptr;
-      kernels::ForEachBatch(b, [=](int64_t bi) {
-        const float* gb = g + bi * n * d;
-        if (gp != nullptr) {
-          kernels::GemmNT(n, n, d, gb, pv + bi * n * d, gp + bi * n * n,
-                          /*accumulate=*/true);
-        }
-        if (gv != nullptr) {
-          kernels::GemmTN(n, d, n, pp + bi * n * n, gb, gv + bi * n * d,
-                          /*accumulate=*/true);
-        }
-      });
-    }
-
-    // V-projection chain (reshape -> matmul -> reshape of the op path).
-    if (v_rg) {
-      Tensor g_xkv_v;
-      if (xkv_rg) {
-        g_xkv_v = Tensor(Shape{rows, d});
-        kernels::GemmNT(rows, d, d, g_v.data(), wv_impl->data.data(),
-                        g_xkv_v.data(), /*accumulate=*/true);
-      }
-      if (NeedsGrad(wv_impl)) {
-        wv_impl->EnsureGrad();
-        kernels::GemmTN(d, d, rows, xkv_impl->data.data(), g_v.data(),
-                        wv_impl->grad.data(), /*accumulate=*/true);
-      }
-      if (xkv_rg && NeedsGrad(xkv_impl)) {
-        xkv_impl->AccumulateGrad(g_xkv_v.data(), rows * d);
-      }
-    }
-
-    // Score epilogue backward, in place on g_probs: softmax backward (using
-    // the saved probs), then the scale pass that also restores the op path's
-    // zero-accumulation normalization. The bias add's input pass-through is
-    // the identity after that normalization.
-    if (probs_rg) {
-      if (softmax) {
-        kernels::SoftmaxBackwardRows(b * n, n, probs.data(), g_probs.data());
-      }
-      kernels::ScaleBackwardMap(b * n * n, scale, g_probs.data());
-      if (has_bias && NeedsGrad(bias_impl)) {
-        bias_impl->EnsureGrad();
-        kernels::BiasGradReduce(b * n * n, n, g_probs.data(),
-                                bias_impl->grad.data());
-      }
-    }
-
-    // bmm_nt(q, k) backward: per-sample dQ += G K and dK += G^T Q.
-    Tensor g_q, g_k;
-    if (s0_rg) {
-      if (q_rg) g_q = Tensor(Shape{rows, d});
-      if (k_rg) g_k = Tensor(Shape{rows, d});
-      const float* gs = g_probs.data();
-      const float* pq = q.data();
-      const float* pk = k.data();
-      float* gq = q_rg ? g_q.data() : nullptr;
-      float* gk = k_rg ? g_k.data() : nullptr;
-      kernels::ForEachBatch(b, [=](int64_t bi) {
-        const float* gsb = gs + bi * n * n;
-        if (gq != nullptr) {
-          kernels::GemmNN(n, d, n, gsb, pk + bi * n * d, gq + bi * n * d,
-                          /*accumulate=*/true);
-        }
-        if (gk != nullptr) {
-          kernels::GemmTN(n, d, n, gsb, pq + bi * n * d, gk + bi * n * d,
-                          /*accumulate=*/true);
-        }
-      });
-    }
-
-    // K-projection chain.
-    if (k_rg) {
-      Tensor g_xkv_k;
-      if (xkv_rg) {
-        g_xkv_k = Tensor(Shape{rows, d});
-        kernels::GemmNT(rows, d, d, g_k.data(), wk_impl->data.data(),
-                        g_xkv_k.data(), /*accumulate=*/true);
-      }
-      if (NeedsGrad(wk_impl)) {
-        wk_impl->EnsureGrad();
-        kernels::GemmTN(d, d, rows, xkv_impl->data.data(), g_k.data(),
-                        wk_impl->grad.data(), /*accumulate=*/true);
-      }
-      if (xkv_rg && NeedsGrad(xkv_impl)) {
-        xkv_impl->AccumulateGrad(g_xkv_k.data(), rows * d);
-      }
-    }
-
-    // Q-projection chain (last, matching the op tape's reverse order — for
-    // self-attention the shared input thus accumulates V-, K-, then Q-part).
-    if (q_rg) {
-      Tensor g_xq;
-      if (xq_rg) {
-        g_xq = Tensor(Shape{rows, d});
-        kernels::GemmNT(rows, d, d, g_q.data(), wq_impl->data.data(),
-                        g_xq.data(), /*accumulate=*/true);
-      }
-      if (NeedsGrad(wq_impl)) {
-        wq_impl->EnsureGrad();
-        kernels::GemmTN(d, d, rows, xq_impl->data.data(), g_q.data(),
-                        wq_impl->grad.data(), /*accumulate=*/true);
-      }
-      if (xq_rg && NeedsGrad(xq_impl)) {
-        xq_impl->AccumulateGrad(g_xq.data(), rows * d);
-      }
-    }
-  });
-  return out;
-}
 
 Tensor FusedAttentionLayerTrain(const Tensor& q_raw, const Tensor& kv_raw,
                                 const Tensor& ln_gamma, const Tensor& ln_beta,
@@ -373,39 +148,20 @@ Tensor FusedAttentionLayerTrain(const Tensor& q_raw, const Tensor& kv_raw,
   kernels::GemmNN(rows, d, d, kvn.data(), wk.data(), k.data(),
                   /*accumulate=*/false);
 
-  // Per-sample Q K^T + fused score epilogue (identical to
-  // FusedAttentionTrain).
+  // The eval path's attention sweep (per-sample Q K^T, score epilogue,
+  // probs · V), keeping `probs` — the one saved score tensor (the op path
+  // materializes four) — for the backward; then the folded residual add
+  // (the op chain's trailing ops::Add, same operand order) in one pass.
   Tensor probs = Tensor::Uninitialized(Shape{b, n, n});
-  {
-    const float* pq = q.data();
-    const float* pk = k.data();
-    float* ps = probs.data();
-    kernels::ForEachBatch(b, [=](int64_t bi) {
-      kernels::GemmNT(n, n, d, pq + bi * n * d, pk + bi * n * d,
-                      ps + bi * n * n, /*accumulate=*/false);
-    });
-    const float* pbias = has_bias ? bias.data() : nullptr;
-    float* pp = probs.data();
-    kernels::RowMap(b * n, n, [=](int64_t r) {
-      kernels::ScoreEpilogueRow(pp + r * n, n, pbias, scale, softmax);
-    });
-  }
-
-  // out = probs · V, then the folded residual add.
   Tensor out = Tensor::Uninitialized(q_raw.shape());
-  {
-    const float* pp = probs.data();
-    const float* pv = v.data();
+  kernels::FusedAttentionEval(b, n, d, q.data(), k.data(), v.data(),
+                              has_bias ? bias.data() : nullptr, scale, softmax,
+                              probs.data(), out.data());
+  if (has_res) {
     float* po = out.data();
-    kernels::ForEachBatch(b, [=](int64_t bi) {
-      kernels::GemmNN(n, d, n, pp + bi * n * n, pv + bi * n * d,
-                      po + bi * n * d, /*accumulate=*/false);
-    });
-    if (has_res) {
-      const float* pr = residual.data();
-      kernels::EltwiseMap(rows * d,
-                          [po, pr](int64_t i) { po[i] = pr[i] + po[i]; });
-    }
+    const float* pr = residual.data();
+    kernels::EltwiseMap(rows * d,
+                        [po, pr](int64_t i) { po[i] = pr[i] + po[i]; });
   }
 
   auto wq_impl = wq.impl();
@@ -576,126 +332,6 @@ Tensor FusedAttentionLayerTrain(const Tensor& q_raw, const Tensor& kv_raw,
     } else if (ln_kv_rg) {
       LayerNormBackwardInto(rows, d, g_norm.data(), kvraw_impl, gamma_impl,
                             beta_impl, xhat_kv, inv_kv);
-    }
-  });
-  return out;
-}
-
-Tensor FusedFeedForwardTrain(const Tensor& x, const Tensor& w1,
-                             const Tensor& b1, const Tensor& w2,
-                             const Tensor& b2, const Tensor& residual) {
-  CDCL_CHECK(x.defined());
-  CDCL_CHECK_GE(x.ndim(), 3);
-  const int64_t d_in = w1.dim(0), hidden = w1.dim(1);
-  const int64_t d_out = w2.dim(1);
-  CDCL_CHECK_EQ(x.dim(-1), d_in);
-  CDCL_CHECK_EQ(w2.dim(0), hidden);
-  CDCL_CHECK_EQ(b1.NumElements(), hidden);
-  CDCL_CHECK_EQ(b2.NumElements(), d_out);
-  const int64_t rows = x.NumElements() / d_in;
-
-  // h = x W1 + b1 (pre-activation, saved for the GELU backward); the bias
-  // epilogue runs fused in place of the op path's separate Add tensor.
-  Tensor h = Tensor::Uninitialized(Shape{rows, hidden});
-  kernels::GemmNN(rows, hidden, d_in, x.data(), w1.data(), h.data(),
-                  /*accumulate=*/false);
-  kernels::BiasAddMap(rows * hidden, hidden, h.data(), b1.data());
-
-  // a = gelu(h), saved for the W2 gradient.
-  Tensor a = Tensor::Uninitialized(Shape{rows, hidden});
-  kernels::GeluMapVec(rows * hidden, h.data(), a.data());
-
-  // out = [residual +] (a W2 + b2): the output bias — and, when present, the
-  // folded residual add (the op chain's trailing ops::Add, inner bias add
-  // first, same operand order) — as one fused pass.
-  std::vector<int64_t> out_dims = x.shape().dims();
-  out_dims.back() = d_out;
-  Tensor out = Tensor::Uninitialized(Shape(out_dims));
-  const bool has_res = residual.defined();
-  if (has_res) CDCL_CHECK(residual.shape() == Shape(out_dims));
-  kernels::GemmNN(rows, d_out, hidden, a.data(), w2.data(), out.data(),
-                  /*accumulate=*/false);
-  if (has_res) {
-    float* po = out.data();
-    const float* pr = residual.data();
-    const float* pb2 = b2.data();
-    kernels::BroadcastMap(rows * d_out, d_out, [=](int64_t i, int64_t j) {
-      po[i] = pr[i] + (po[i] + pb2[j]);
-    });
-  } else {
-    kernels::BiasAddMap(rows * d_out, d_out, out.data(), b2.data());
-  }
-
-  auto res_impl = has_res ? residual.impl() : nullptr;
-  auto x_impl = x.impl();
-  auto w1_impl = w1.impl();
-  auto b1_impl = b1.impl();
-  auto w2_impl = w2.impl();
-  auto b2_impl = b2.impl();
-  const bool x_rg = x.requires_grad();
-  const bool h1_rg = x_rg || w1.requires_grad() || b1.requires_grad();
-  const bool a_rg = h1_rg;  // gelu propagates
-  const bool y0_rg = a_rg || w2.requires_grad();
-
-  std::vector<Tensor> inputs;
-  if (has_res) inputs.push_back(residual);  // first: its subtree runs last
-  inputs.insert(inputs.end(), {x, w1, b1, w2, b2});
-
-  AttachNode(&out, inputs, "fused_ffn", [=](TensorImpl& o) {
-    const float* g = o.grad.data();
-
-    // Folded residual add backward first (the op chain's Add is the last
-    // recorded op): dresidual += g.
-    if (has_res && NeedsGrad(res_impl)) {
-      res_impl->AccumulateGrad(g, rows * d_out);
-    }
-
-    // Output bias add backward (reduce before the second matmul, matching
-    // the reverse tape order).
-    if (NeedsGrad(b2_impl)) {
-      b2_impl->EnsureGrad();
-      kernels::BiasGradReduce(rows * d_out, d_out, g, b2_impl->grad.data());
-    }
-
-    // matmul(a, W2) backward.
-    Tensor g_a;
-    if (y0_rg) {
-      if (a_rg) {
-        g_a = Tensor(Shape{rows, hidden});
-        kernels::GemmNT(rows, hidden, d_out, g, w2_impl->data.data(),
-                        g_a.data(), /*accumulate=*/true);
-      }
-      if (NeedsGrad(w2_impl)) {
-        w2_impl->EnsureGrad();
-        kernels::GemmTN(hidden, d_out, rows, a.data(), g,
-                        w2_impl->grad.data(), /*accumulate=*/true);
-      }
-    }
-    if (!a_rg) return;
-
-    // GELU backward in place (uses the saved pre-activation), then the
-    // hidden bias reduce.
-    kernels::GeluGradMulMapVec(rows * hidden, h.data(), g_a.data());
-    if (NeedsGrad(b1_impl)) {
-      b1_impl->EnsureGrad();
-      kernels::BiasGradReduce(rows * hidden, hidden, g_a.data(),
-                              b1_impl->grad.data());
-    }
-
-    // matmul(x, W1) backward.
-    Tensor g_x;
-    if (x_rg) {
-      g_x = Tensor(Shape{rows, d_in});
-      kernels::GemmNT(rows, d_in, hidden, g_a.data(), w1_impl->data.data(),
-                      g_x.data(), /*accumulate=*/true);
-    }
-    if (NeedsGrad(w1_impl)) {
-      w1_impl->EnsureGrad();
-      kernels::GemmTN(d_in, hidden, rows, x_impl->data.data(), g_a.data(),
-                      w1_impl->grad.data(), /*accumulate=*/true);
-    }
-    if (x_rg && NeedsGrad(x_impl)) {
-      x_impl->AccumulateGrad(g_x.data(), rows * d_in);
     }
   });
   return out;

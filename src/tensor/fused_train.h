@@ -13,7 +13,10 @@ namespace ops {
 // runs the flattened GEMMs plus fused epilogues of the inference path
 // (kernels/fused_eval.h) while saving exactly the activations the chain's
 // backward needs, and the node's hand-written closure replays the chain's
-// backward kernels in the chain's reverse-topological order.
+// backward kernels in the chain's reverse-topological order. There are
+// three: one per pre-norm encoder sublayer (attention, MLP) and the
+// sequence pool. The op chains (TaskConditionedAttention::SelfAttention,
+// FeedForward::Forward, ...) stay as the reference they are tested against.
 //
 // Bitwise contract: both directions execute the same float operations in the
 // same order as the op-by-op tape (same GEMM dispatches, same broadcast /
@@ -24,41 +27,19 @@ namespace ops {
 // gradcheck_test.cc finite-difference-checks the closures.
 // ---------------------------------------------------------------------------
 
-/// Task-conditioned attention training forward (paper eqs. 2-3), one node:
-///   out = [residual +] epilogue(Q K^T) V, with Q = q_input Wq,
-///   K = kv_input Wk, V = kv_input Wv and
-///   epilogue(s) = softmax?((s + bias) * scale).
-/// q_input/kv_input are (b, n, d); wq/wk/wv are (d, d); bias is (n) and may
-/// be undefined (no additive task bias). Self-attention passes the same
-/// tensor for both inputs; gradient accumulation into the shared input then
-/// follows the op chain's V-, K-, Q-projection order. `residual` (same shape
-/// as the output, may be undefined) folds the encoder block's residual add
-/// into the node — the op chain's trailing ops::Add, one pass instead of a
-/// separate tensor + tape node.
-Tensor FusedAttentionTrain(const Tensor& q_input, const Tensor& kv_input,
-                           const Tensor& wq, const Tensor& wk, const Tensor& wv,
-                           const Tensor& bias, float scale, bool softmax,
-                           const Tensor& residual = Tensor());
-
-/// Two-layer GELU MLP training forward (the encoder FeedForward), one node:
-///   out = [residual +] (gelu(x W1 + b1) W2 + b2)
-/// x is (..., d_in) with ndim >= 3 (the Linear reshape structure the closure
-/// replays); w1 (d_in, hidden), b1 (hidden), w2 (hidden, d_out), b2 (d_out).
-/// The bias+GELU epilogue runs as one fused pass; the saved pre-activation
-/// feeds the hand-written GELU backward. `residual` folds the block's
-/// residual add like FusedAttentionTrain's.
-Tensor FusedFeedForwardTrain(const Tensor& x, const Tensor& w1,
-                             const Tensor& b1, const Tensor& w2,
-                             const Tensor& b2,
-                             const Tensor& residual = Tensor());
-
-/// Pre-norm attention sublayer with the LayerNorm folded in, one node:
-///   out = [residual +] Attention(LN(q_raw), LN(kv_raw))
+/// Pre-norm task-conditioned attention sublayer (paper eqs. 2-3), one node:
+///   out = [residual +] epilogue(Q K^T) V,  with Q = LN(q_raw) Wq,
+///   K = LN(kv_raw) Wk, V = LN(kv_raw) Wv and
+///   epilogue(s) = softmax?((s + bias) * scale),
 /// where LN shares one gamma/beta (the encoder block's norm1) across both
-/// streams and Attention is FusedAttentionTrain's epilogue chain. The LN
-/// forward runs the vectorized row kernels (kernels/layernorm.h) saving
-/// xhat / inv_std; the backward folds the LayerNorm input/gamma/beta
-/// gradients into the reverse replay.
+/// streams. q_raw/kv_raw are (b, n, d); wq/wk/wv are (d, d); bias is (n) and
+/// may be undefined (no additive task bias); `residual` (same shape as the
+/// output, may be undefined) folds the block's residual add into the node.
+/// The LN forward runs the vectorized row kernels (kernels/layernorm.h)
+/// saving xhat / inv_std; the score/P·V part is the eval path's
+/// kernels::FusedAttentionEval sweep, whose probs buffer the node keeps for
+/// its backward. The backward folds the LayerNorm input/gamma/beta gradients
+/// into the reverse replay.
 ///
 /// Self-attention (q_raw.impl() == kv_raw.impl(), the SelfForward path)
 /// records ONE tape node: the single LN is computed once and its backward
@@ -84,9 +65,12 @@ Tensor FusedAttentionLayerTrain(const Tensor& q_raw, const Tensor& kv_raw,
                                 const Tensor& bias, float scale, bool softmax,
                                 const Tensor& residual = Tensor());
 
-/// Pre-norm MLP sublayer with the LayerNorm (the block's norm2) folded in,
-/// one node:
+/// Pre-norm two-layer GELU MLP sublayer (the encoder FeedForward with the
+/// block's norm2 folded in), one node:
 ///   out = [residual +] (gelu(LN(x_raw) W1 + b1) W2 + b2)
+/// x_raw is (..., d_in) with ndim >= 3; w1 (d_in, hidden), b1 (hidden),
+/// w2 (hidden, d_out), b2 (d_out). The bias+GELU epilogue runs as one fused
+/// pass and the saved pre-activation feeds the hand-written GELU backward.
 /// Like FusedAttentionLayerTrain's self case, the folded LN backward runs at
 /// the end of the closure — the op tape's standalone LayerNorm node is this
 /// node's immediate schedule successor, so the fold is order-exact.

@@ -1,7 +1,5 @@
 #include "tensor/kernels/fused_eval.h"
 
-#include <vector>
-
 #include "tensor/kernels/matmul_kernel.h"
 #include "tensor/kernels/parallel.h"
 #include "tensor/kernels/scalar_math.h"
@@ -9,9 +7,22 @@
 
 namespace cdcl {
 namespace kernels {
+namespace {
 
-// The row score epilogue lives in scalar_math.h (ScoreEpilogueRow) so the
-// fused training forward shares the exact arithmetic.
+/// One attention score row epilogue: s = (s + bias) * scale, then optionally
+/// softmax, in place. Bias add and scale stay separate float ops (not one
+/// fma) to match ops::Add followed by ops::MulScalar exactly.
+void ScoreEpilogueRow(float* s, int64_t n, const float* bias, float scale,
+                      bool softmax) {
+  if (bias != nullptr) {
+    for (int64_t j = 0; j < n; ++j) s[j] = (s[j] + bias[j]) * scale;
+  } else {
+    for (int64_t j = 0; j < n; ++j) s[j] = s[j] * scale;
+  }
+  if (softmax) SoftmaxRow(s, s, n);
+}
+
+}  // namespace
 
 void BiasAddMap(int64_t n, int64_t period, float* x, const float* bias) {
   BroadcastMap(n, period,
@@ -40,22 +51,18 @@ void SoftmaxRows(int64_t rows, int64_t n, float* x) {
 
 void FusedAttentionEval(int64_t b, int64_t n, int64_t d, const float* q,
                         const float* k, const float* v, const float* bias,
-                        float scale, bool softmax, float* out) {
-  // Flat score scratch; each sample's slice is touched only by the chunk
-  // that owns the sample (exactly one, per the ParallelChunks contract), so
-  // the sweep is race-free without any tensor/tape machinery.
-  std::vector<float> scratch(static_cast<size_t>(b * n * n));
-  float* ws = scratch.data();
+                        float scale, bool softmax, float* probs, float* out) {
+  // Each sample's probs slice is touched only by the chunk that owns the
+  // sample (exactly one, per the ParallelChunks contract), so the sweep is
+  // race-free.
   ForEachBatch(b, [=](int64_t bi) {
-    const float* qb = q + bi * n * d;
-    const float* kb = k + bi * n * d;
-    const float* vb = v + bi * n * d;
-    float* sb = ws + bi * n * n;
-    GemmNT(n, n, d, qb, kb, sb, /*accumulate=*/false);
+    float* pb = probs + bi * n * n;
+    GemmNT(n, n, d, q + bi * n * d, k + bi * n * d, pb, /*accumulate=*/false);
     for (int64_t r = 0; r < n; ++r) {
-      ScoreEpilogueRow(sb + r * n, n, bias, scale, softmax);
+      ScoreEpilogueRow(pb + r * n, n, bias, scale, softmax);
     }
-    GemmNN(n, d, n, sb, vb, out + bi * n * d, /*accumulate=*/false);
+    GemmNN(n, d, n, pb, v + bi * n * d, out + bi * n * d,
+           /*accumulate=*/false);
   });
 }
 

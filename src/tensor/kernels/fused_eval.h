@@ -31,24 +31,23 @@ void BiasGeluMap(int64_t n, int64_t period, float* x, const float* bias);
 /// arithmetic of ops::Softmax without the tensor wrapper.
 void SoftmaxRows(int64_t rows, int64_t n, float* x);
 
-/// Fused batched attention forward (inference only): for each of `b` samples
-/// with `n` tokens of width `d`,
-///   scores = Q K^T        (GemmNT, per sample)
-///   scores = softmax((scores + bias) * scale)   (row epilogue, in place;
-///            `bias` is the per-task b_i over the n key positions, `softmax`
-///            off = the paper's literal linear eq. 2 scores)
-///   out    = scores V     (GemmNN, per sample)
-/// q/k/v/out are (b*n, d) row-major; scores live in a flat scratch buffer
-/// (same O(b*n*n) footprint as the op path's score tensor, but outside the
-/// tensor/tape machinery — no per-op allocations or autograd bookkeeping,
-/// and the three epilogue passes collapse into one). Samples fan out over
-/// the context pool
-/// (batch-level when b is wide, inside the GEMMs when it is narrow) with the
-/// per-sample GEMM calls identical to the BatchMatMulTransB/BatchMatMul op
-/// path, so results stay bitwise identical to it.
+/// Fused batched attention forward: for each of `b` samples with `n` tokens
+/// of width `d`,
+///   probs = Q K^T        (GemmNT, per sample)
+///   probs = softmax((probs + bias) * scale)   (row epilogue, in place;
+///           `bias` is the per-task b_i over the n key positions, may be
+///           null; `softmax` off = the paper's literal linear eq. 2 scores)
+///   out   = probs V      (GemmNN, per sample)
+/// q/k/v/out are (b*n, d) row-major and `probs` is a caller-owned (b*n, n)
+/// buffer the sweep overwrites; the training node
+/// (ops::FusedAttentionLayerTrain) keeps it for its backward, the eval path
+/// discards it. Samples fan out over the context pool (batch-level when b is
+/// wide, inside the GEMMs when it is narrow) with the per-sample GEMM calls
+/// identical to the BatchMatMulTransB/BatchMatMul op path, so results stay
+/// bitwise identical to it.
 void FusedAttentionEval(int64_t b, int64_t n, int64_t d, const float* q,
                         const float* k, const float* v, const float* bias,
-                        float scale, bool softmax, float* out);
+                        float scale, bool softmax, float* probs, float* out);
 
 }  // namespace kernels
 }  // namespace cdcl

@@ -35,14 +35,10 @@ class RegionGuard {
   bool previous_;
 };
 
-/// Spin budget before a waiting worker yields and then parks. On a
-/// single-hardware-thread host spinning only steals cycles from the one
-/// runnable thread, so the default collapses to 0 there.
-int64_t SpinMicros() {
-  static const int64_t spin =
-      EnvInt("CDCL_SPIN_US", HardwareThreads() > 1 ? 120 : 0);
-  return spin < 0 ? 0 : spin;
-}
+/// Spin budget in microseconds before a waiting worker yields and then
+/// parks. On a single-hardware-thread host spinning only steals cycles from
+/// the one runnable thread, so it is 0 there.
+int64_t SpinMicros() { return HardwareThreads() > 1 ? 120 : 0; }
 
 /// Everything a region chunk needs, on the launcher's stack. The chunk
 /// decomposition (n, grain) is byte-for-byte the pre-RegionPool scheme,

@@ -34,9 +34,10 @@ class KernelContext {
 
   /// Persistent worker team backing parallel regions; nullptr when
   /// num_threads() == 1. The team holds num_threads()-1 workers parked on an
-  /// epoch counter (spin-then-yield-then-park, budget CDCL_SPIN_US): the
-  /// calling thread always participates in kernel loops, and entering a
-  /// region is a single atomic publish instead of per-helper task submission.
+  /// epoch counter (spin-then-yield-then-park; 120 us of spin on a
+  /// multi-core host, none on one core): the calling thread always
+  /// participates in kernel loops, and entering a region is a single atomic
+  /// publish instead of per-helper task submission.
   RegionPool* region_pool();
 
   /// Overrides the worker count. n <= 0 restores the default (env/hardware)

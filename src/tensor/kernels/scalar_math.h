@@ -37,21 +37,6 @@ inline void SoftmaxRow(const float* x, float* y, int64_t n) {
   for (int64_t j = 0; j < n; ++j) y[j] *= inv;
 }
 
-/// One attention score row epilogue: s = (s + bias) * scale, then optionally
-/// softmax, in place. Bias add and scale stay separate float ops (not one
-/// fma) to match ops::Add followed by ops::MulScalar exactly; shared by the
-/// fused eval sweep (fused_eval.cc) and the fused training forward
-/// (fused_train.cc).
-inline void ScoreEpilogueRow(float* s, int64_t n, const float* bias,
-                             float scale, bool softmax) {
-  if (bias != nullptr) {
-    for (int64_t j = 0; j < n; ++j) s[j] = (s[j] + bias[j]) * scale;
-  } else {
-    for (int64_t j = 0; j < n; ++j) s[j] = s[j] * scale;
-  }
-  if (softmax) SoftmaxRow(s, s, n);
-}
-
 }  // namespace kernels
 }  // namespace cdcl
 

@@ -52,7 +52,7 @@ class RegionPool {
   using ChunkFn = bool (*)(void* ctx, int64_t chunk_index);
 
   /// `spin_us` is the per-wait spin budget in microseconds before a waiting
-  /// worker starts yielding and finally parks (CDCL_SPIN_US).
+  /// worker starts yielding and finally parks.
   RegionPool(size_t num_workers, int64_t spin_us);
 
   /// Wakes any parked workers, then joins them. Safe while workers are

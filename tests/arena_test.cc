@@ -1,11 +1,12 @@
 // Equivalence + lifetime harness for the step-scoped tensor arena and the
-// fused training path. The contract under test: CDCL_ARENA and
-// CDCL_FUSED_TRAIN change *where* step memory lives and *how many* tape
-// nodes a training forward records — never a single bit of any loss,
-// gradient, or post-step parameter, at any thread count or ISA cap. A
-// short 2-task CdclTrainer run pins the end-to-end training trajectory; component tests localize a regression to the attention / FFN
-// closures; the mechanics tests cover the arena itself (scopes, reset
-// generations, nesting, the escape hatch). scripts/verify.sh re-runs this
+// fused training path. The contract under test: the arena and fused-train
+// test seams (SetArenaEnabled, nn::SetFusedTrain) change *where* step
+// memory lives and *how many* tape nodes a training forward records — never
+// a single bit of any loss, gradient, or post-step parameter, at any thread
+// count or ISA cap. A short 2-task CdclTrainer run pins the end-to-end
+// training trajectory; component tests localize a regression to the
+// encoder sublayer nodes; the mechanics tests cover the arena itself
+// (scopes, reset generations, nesting, the disabled seam). scripts/verify.sh re-runs this
 // suite under ASan/UBSan, where every arena allocation becomes an
 // individually freed heap block, so a step-scoped tensor escaping its scope
 // trips the sanitizer as a heap-use-after-free.
@@ -143,7 +144,7 @@ TEST(ArenaTest, CdclTrajectoryBitwiseArenaOnVsOff) {
 }
 
 // The fused training path must equal the op-by-op tape end to end: same
-// trainer run with CDCL_FUSED_TRAIN off (the seed's op-chain forwards and
+// trainer run with fused training off (the op-chain forwards and
 // node-per-op backward) against the fused single-node path.
 TEST(ArenaTest, CdclTrajectoryBitwiseFusedTrainOnVsOff) {
   Trajectory op_path = RunCdcl(/*arena=*/true, /*fused_train=*/false, 1);
@@ -186,57 +187,71 @@ void ExpectSameGrads(const GradCapture& a, const GradCapture& b,
   }
 }
 
-// Self- and cross-attention plus the MLP through both paths: losses and
-// every gradient (params and both inputs) must agree bit for bit, per ISA
-// cap, per thread count, with the second task's frozen predecessor keys
-// exercising the skip-frozen-grad branches.
-TEST(ArenaTest, AttentionAndFfnGradsBitwiseFusedVsOp) {
+// The full encoder block through both paths: this is the component that
+// exercises the fused sublayer nodes (single-LN self sublayer, the
+// two-stream cross sublayer with its companion LN node, and the folded MLP
+// pre-norm). Losses and every gradient — block params and all input
+// streams — must agree bit for bit with the op chain, per ISA cap, thread
+// count and score mode (softmax and the literal linear eq. 2), including
+// the first-layer undefined-mixed cross case. A second task freezes task
+// 0's keys and bias; running at task 1 and at task 0 covers both the live
+// and the skip-frozen-grad branches.
+TEST(ArenaTest, EncoderLayerGradsBitwiseFusedVsOp) {
   for (kernels::IsaCap cap : kCaps) {
     for (int64_t threads : {int64_t{1}, int64_t{2}, int64_t{8}}) {
       for (const bool softmax : {true, false}) {
-        for (const bool cross : {false, true}) {
-          SettingsScope restore;
-          kernels::SetIsaCap(cap);
-          kernels::SetNumThreads(threads);
-          Rng rng(29);
-          nn::TaskConditionedAttention attn(24, 16, &rng, softmax);
-          attn.AddTask();
-          attn.AddTask();  // freezes task 0's K/b
-          nn::FeedForward ffn(24, 48, &rng);
-          Tensor xs = Tensor::Randn(Shape{4, 16, 24}, &rng, 1.0f, true);
-          Tensor xt = Tensor::Randn(Shape{4, 16, 24}, &rng, 1.0f, true);
+        SettingsScope restore;
+        kernels::SetIsaCap(cap);
+        kernels::SetNumThreads(threads);
+        Rng rng(37);
+        nn::TransformerEncoderLayer layer(24, 16, 48, &rng, softmax,
+                                          /*freeze_old_keys=*/true);
+        layer.AddTask();
+        layer.AddTask();  // freezes task 0's K/b
+        Tensor xs = Tensor::Randn(Shape{4, 16, 24}, &rng, 1.0f, true);
+        Tensor xt = Tensor::Randn(Shape{4, 16, 24}, &rng, 1.0f, true);
+        Tensor mixed = Tensor::Randn(Shape{4, 16, 24}, &rng, 1.0f, true);
 
-          auto run = [&](bool fused, int64_t task) {
-            nn::SetFusedTrain(fused);
-            for (Tensor& p : attn.Parameters()) p.ZeroGrad();
-            for (Tensor& p : ffn.Parameters()) p.ZeroGrad();
-            xs.ZeroGrad();
-            xt.ZeroGrad();
-            Tensor y = cross ? attn.CrossAttention(xs, xt, task)
-                             : attn.SelfAttention(xs, task);
-            Tensor loss = ops::Sum(ops::Square(ffn.Forward(y)));
-            loss.Backward();
-            GradCapture cap;
-            cap.loss = loss.item();
-            for (Tensor& p : attn.Parameters()) {
-              cap.grads.push_back(p.GradTensor().ToVector());
-            }
-            for (Tensor& p : ffn.Parameters()) {
-              cap.grads.push_back(p.GradTensor().ToVector());
-            }
-            cap.grads.push_back(xs.GradTensor().ToVector());
-            cap.grads.push_back(xt.GradTensor().ToVector());
-            return cap;
-          };
-          for (const int64_t task : {int64_t{1}, int64_t{0}}) {
-            GradCapture op_path = run(/*fused=*/false, task);
-            GradCapture fused = run(/*fused=*/true, task);
+        for (const int64_t task : {int64_t{1}, int64_t{0}}) {
+          for (const int mode : {0, 1, 2}) {  // self, cross, cross first-layer
+            auto run = [&](bool fused) {
+              nn::SetFusedTrain(fused);
+              for (Tensor& p : layer.Parameters()) p.ZeroGrad();
+              xs.ZeroGrad();
+              xt.ZeroGrad();
+              mixed.ZeroGrad();
+              Tensor y;
+              switch (mode) {
+                case 0:
+                  y = layer.SelfForward(xs, task);
+                  break;
+                case 1:
+                  y = layer.CrossForward(xs, xt, mixed, task);
+                  break;
+                default:
+                  y = layer.CrossForward(xs, xt, Tensor(), task);
+                  break;
+              }
+              Tensor loss = ops::Sum(ops::Square(y));
+              loss.Backward();
+              GradCapture cap;
+              cap.loss = loss.item();
+              for (Tensor& p : layer.Parameters()) {
+                cap.grads.push_back(p.GradTensor().ToVector());
+              }
+              cap.grads.push_back(xs.GradTensor().ToVector());
+              cap.grads.push_back(xt.GradTensor().ToVector());
+              cap.grads.push_back(mixed.GradTensor().ToVector());
+              return cap;
+            };
+            GradCapture op_path = run(/*fused=*/false);
+            GradCapture fused = run(/*fused=*/true);
             ExpectSameGrads(op_path, fused,
-                            "cap=" + CapName(cap) +
+                            "encoder layer cap=" + CapName(cap) +
                                 " threads=" + std::to_string(threads) +
                                 " softmax=" + std::to_string(softmax) +
-                                " cross=" + std::to_string(cross) +
-                                " task=" + std::to_string(task));
+                                " task=" + std::to_string(task) +
+                                " mode=" + std::to_string(mode));
           }
         }
       }
@@ -244,92 +259,35 @@ TEST(ArenaTest, AttentionAndFfnGradsBitwiseFusedVsOp) {
   }
 }
 
-// The full encoder block through both paths: this is the component that
-// exercises the folded pre-norm LayerNorms (single-LN self sublayer, the
-// two-stream cross sublayer with its companion LN node, and the folded MLP
-// pre-norm). Losses and every gradient — block params and all input
-// streams — must agree bit for bit with the op chain, per ISA cap and
-// thread count, including the first-layer undefined-mixed cross case.
-TEST(ArenaTest, EncoderLayerGradsBitwiseFusedVsOp) {
-  for (kernels::IsaCap cap : {kernels::IsaCap::kScalar,
-                              kernels::IsaCap::kAvx512}) {
-    for (int64_t threads : {int64_t{1}, int64_t{2}, int64_t{8}}) {
-      SettingsScope restore;
-      kernels::SetIsaCap(cap);
-      kernels::SetNumThreads(threads);
-      Rng rng(37);
-      nn::TransformerEncoderLayer layer(24, 16, 48, &rng,
-                                        /*softmax_scores=*/true,
-                                        /*freeze_old_keys=*/true);
-      layer.AddTask();
-      Tensor xs = Tensor::Randn(Shape{4, 16, 24}, &rng, 1.0f, true);
-      Tensor xt = Tensor::Randn(Shape{4, 16, 24}, &rng, 1.0f, true);
-      Tensor mixed = Tensor::Randn(Shape{4, 16, 24}, &rng, 1.0f, true);
-
-      for (const int mode : {0, 1, 2}) {  // self, cross, cross first-layer
-        auto run = [&](bool fused) {
-          nn::SetFusedTrain(fused);
-          for (Tensor& p : layer.Parameters()) p.ZeroGrad();
-          xs.ZeroGrad();
-          xt.ZeroGrad();
-          mixed.ZeroGrad();
-          Tensor y;
-          switch (mode) {
-            case 0:
-              y = layer.SelfForward(xs, 0);
-              break;
-            case 1:
-              y = layer.CrossForward(xs, xt, mixed, 0);
-              break;
-            default:
-              y = layer.CrossForward(xs, xt, Tensor(), 0);
-              break;
-          }
-          Tensor loss = ops::Sum(ops::Square(y));
-          loss.Backward();
-          GradCapture cap;
-          cap.loss = loss.item();
-          for (Tensor& p : layer.Parameters()) {
-            cap.grads.push_back(p.GradTensor().ToVector());
-          }
-          cap.grads.push_back(xs.GradTensor().ToVector());
-          cap.grads.push_back(xt.GradTensor().ToVector());
-          cap.grads.push_back(mixed.GradTensor().ToVector());
-          return cap;
-        };
-        GradCapture op_path = run(/*fused=*/false);
-        GradCapture fused = run(/*fused=*/true);
-        ExpectSameGrads(op_path, fused,
-                        "encoder layer cap=" + CapName(cap) +
-                            " threads=" + std::to_string(threads) +
-                            " mode=" + std::to_string(mode));
-      }
-    }
-  }
-}
-
 // The same component check with the tensors and tape living in an arena:
-// grads computed inside a step scope equal the heap-path grads bitwise
-// (parameter grads stay heap-owned by design, so they survive the reset).
+// grads of the fused encoder block (self and cross) computed inside a step
+// scope equal the heap-path grads bitwise (parameter grads stay heap-owned
+// by design, so they survive the reset).
 TEST(ArenaTest, FusedGradsBitwiseInsideArenaScope) {
   SettingsScope restore;
   Rng rng(31);
-  nn::TaskConditionedAttention attn(16, 9, &rng, /*softmax_scores=*/true);
-  attn.AddTask();
-  Tensor x = Tensor::Randn(Shape{3, 9, 16}, &rng, 1.0f, true);
+  nn::TransformerEncoderLayer layer(16, 9, 32, &rng, /*softmax_scores=*/true,
+                                    /*freeze_old_keys=*/true);
+  layer.AddTask();
+  Tensor xs = Tensor::Randn(Shape{3, 9, 16}, &rng, 1.0f, true);
+  Tensor xt = Tensor::Randn(Shape{3, 9, 16}, &rng, 1.0f, true);
 
   auto run = [&](Arena* arena) {
-    for (Tensor& p : attn.Parameters()) p.ZeroGrad();
-    x.ZeroGrad();
+    for (Tensor& p : layer.Parameters()) p.ZeroGrad();
+    xs.ZeroGrad();
+    xt.ZeroGrad();
     ArenaScope scope(arena);
-    Tensor loss = ops::Sum(ops::Square(attn.SelfAttention(x, 0)));
+    Tensor self = layer.SelfForward(xs, 0);
+    Tensor cross = layer.CrossForward(xs, xt, self, 0);
+    Tensor loss = ops::Sum(ops::Square(cross));
     loss.Backward();
     GradCapture cap;
     cap.loss = loss.item();
-    for (Tensor& p : attn.Parameters()) {
+    for (Tensor& p : layer.Parameters()) {
       cap.grads.push_back(p.GradTensor().ToVector());
     }
-    cap.grads.push_back(x.GradTensor().ToVector());
+    cap.grads.push_back(xs.GradTensor().ToVector());
+    cap.grads.push_back(xt.GradTensor().ToVector());
     return cap;
   };
   GradCapture heap = run(nullptr);

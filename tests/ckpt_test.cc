@@ -9,7 +9,7 @@
 // detected via CRC and restore must fall back to the newest generation that
 // verifies. A seeded mutation fuzz feeds CRC-resealed mutants of real
 // checkpoints to the decoders. scripts/verify.sh runs this suite under
-// ASan/UBSan and repeats the resume-determinism pin as a standalone pass.
+// ASan/UBSan.
 
 #include <dirent.h>
 #include <unistd.h>
@@ -29,6 +29,7 @@
 #include "data/task_stream.h"
 #include "gtest/gtest.h"
 #include "models/compact_transformer.h"
+#include "tensor/arena.h"
 #include "tensor/kernels/matmul_kernel.h"
 #include "tensor/kernels/matmul_quant.h"
 #include "util/fault.h"
@@ -340,7 +341,7 @@ TEST(CheckpointTest, EmptyDirectoryIsNotFound) {
 // The headline: kill at a task boundary, restore, finish — bitwise identical
 // ---------------------------------------------------------------------------
 
-TEST(CheckpointTest, KillAndResumeIsBitwiseIdenticalToUninterruptedRun) {
+void ExpectKillAndResumeBitwise() {
   auto stream = TinyDigitsStream(3);
 
   // Run A: never dies.
@@ -398,6 +399,21 @@ TEST(CheckpointTest, KillAndResumeIsBitwiseIdenticalToUninterruptedRun) {
   // identical before the kill).
   EXPECT_EQ(before->til.Get(0, 0), full->til.Get(0, 0));
   EXPECT_EQ(before->cil.Get(0, 0), full->cil.Get(0, 0));
+}
+
+// The pin holds in either step-arena mode: a checkpoint written with the
+// arena off must resume bitwise with it off too, or the determinism
+// contract is a configuration accident.
+TEST(CheckpointTest, KillAndResumeIsBitwiseIdenticalToUninterruptedRun) {
+  struct ArenaRestore {
+    ~ArenaRestore() { SetArenaEnabled(true); }
+  } restore;
+  for (const bool arena : {true, false}) {
+    SCOPED_TRACE(arena ? "arena on" : "arena off");
+    SetArenaEnabled(arena);
+    ExpectKillAndResumeBitwise();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // Contract #6 across ISA caps: within one build, a checkpoint written under

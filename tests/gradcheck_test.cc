@@ -3,6 +3,7 @@
 // the GEMM-heavy ops forced through the packed/SIMD kernel path.
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -216,50 +217,12 @@ TEST(GradCheckTest, SliceConcatIndex) {
       {RandInput(Shape{2, 3}, 32), RandInput(Shape{2, 3}, 33)}));
 }
 
-// Hand-written backward closures of the fused training path (the single-node
-// attention and FFN forwards of tensor/fused_train.h): finite differences
-// against every participating input, with softmax scores on and off, the
-// self-attention aliasing case (one tensor feeding both streams), and a
-// re-run inside an ArenaScope so the closure's step-scoped scratch is
-// exercised too.
-
-TEST(GradCheckTest, FusedAttentionTrainCross) {
-  for (const bool softmax : {true, false}) {
-    EXPECT_GRADCHECK_OK(GradCheck(
-        [softmax](const std::vector<Tensor>& in) {
-          return ops::Mean(ops::Square(ops::FusedAttentionTrain(
-              in[0], in[1], in[2], in[3], in[4], in[5], 0.5f, softmax)));
-        },
-        {RandInput(Shape{2, 3, 4}, 201), RandInput(Shape{2, 3, 4}, 202),
-         RandInput(Shape{4, 4}, 203), RandInput(Shape{4, 4}, 204),
-         RandInput(Shape{4, 4}, 205), RandInput(Shape{3}, 206)}));
-  }
-}
-
-TEST(GradCheckTest, FusedAttentionTrainSelfAliased) {
-  // The same tensor feeds queries and keys/values: gradient accumulation
-  // into the shared input must cover the V-, K- and Q-projection chains.
-  EXPECT_GRADCHECK_OK(GradCheck(
-      [](const std::vector<Tensor>& in) {
-        return ops::Mean(ops::Square(ops::FusedAttentionTrain(
-            in[0], in[0], in[1], in[2], in[3], in[4], 0.5f,
-            /*softmax=*/true)));
-      },
-      {RandInput(Shape{2, 3, 4}, 211), RandInput(Shape{4, 4}, 212),
-       RandInput(Shape{4, 4}, 213), RandInput(Shape{4, 4}, 214),
-       RandInput(Shape{3}, 215)}));
-}
-
-TEST(GradCheckTest, FusedFeedForwardTrain) {
-  EXPECT_GRADCHECK_OK(GradCheck(
-      [](const std::vector<Tensor>& in) {
-        return ops::Mean(ops::Square(
-            ops::FusedFeedForwardTrain(in[0], in[1], in[2], in[3], in[4])));
-      },
-      {RandInput(Shape{2, 3, 4}, 221), RandInput(Shape{4, 6}, 222),
-       RandInput(Shape{6}, 223), RandInput(Shape{6, 4}, 224),
-       RandInput(Shape{4}, 225)}));
-}
+// Hand-written backward closures of the fused training path (the three
+// nodes of tensor/fused_train.h): finite differences against every
+// participating input, with softmax scores on and off, the self-attention
+// aliasing case (one tensor feeding both streams), the first-layer cross
+// case without a residual, and a re-run inside an ArenaScope so the
+// closures' step-scoped scratch is exercised too.
 
 TEST(GradCheckTest, FusedSequencePoolTrain) {
   EXPECT_GRADCHECK_OK(GradCheck(
@@ -269,34 +232,6 @@ TEST(GradCheckTest, FusedSequencePoolTrain) {
       },
       {RandInput(Shape{2, 5, 4}, 241), RandInput(Shape{4, 1}, 242),
        RandInput(Shape{1}, 243)}));
-}
-
-TEST(GradCheckTest, FusedAttentionTrainWithResidual) {
-  // The encoder-block shape: the residual operand is folded into the node
-  // (d/dresidual must be exactly the output gradient plus the attention
-  // chain's contribution through the shared graph).
-  EXPECT_GRADCHECK_OK(GradCheck(
-      [](const std::vector<Tensor>& in) {
-        Tensor h = ops::FusedAttentionTrain(in[0], in[1], in[2], in[3], in[4],
-                                            in[5], 0.5f, /*softmax=*/true,
-                                            /*residual=*/in[6]);
-        return ops::Mean(ops::Square(h));
-      },
-      {RandInput(Shape{2, 3, 4}, 251), RandInput(Shape{2, 3, 4}, 252),
-       RandInput(Shape{4, 4}, 253), RandInput(Shape{4, 4}, 254),
-       RandInput(Shape{4, 4}, 255), RandInput(Shape{3}, 256),
-       RandInput(Shape{2, 3, 4}, 257)}));
-}
-
-TEST(GradCheckTest, FusedFeedForwardTrainWithResidual) {
-  EXPECT_GRADCHECK_OK(GradCheck(
-      [](const std::vector<Tensor>& in) {
-        return ops::Mean(ops::Square(ops::FusedFeedForwardTrain(
-            in[0], in[1], in[2], in[3], in[4], /*residual=*/in[5])));
-      },
-      {RandInput(Shape{2, 3, 4}, 261), RandInput(Shape{4, 6}, 262),
-       RandInput(Shape{6}, 263), RandInput(Shape{6, 4}, 264),
-       RandInput(Shape{4}, 265), RandInput(Shape{2, 3, 4}, 266)}));
 }
 
 TEST(GradCheckTest, FusedAttentionLayerTrainSelfAliased) {
@@ -321,18 +256,27 @@ TEST(GradCheckTest, FusedAttentionLayerTrainCrossTwoStream) {
   // The CrossForward block shape: two distinct streams normed by the SAME
   // gamma/beta (the two-stream accumulation case — the kv-stream LN backward
   // folded into the node, the q-stream LN in its companion node, both
-  // accumulating into the shared parameters), plus a separate residual.
-  EXPECT_GRADCHECK_OK(GradCheck(
-      [](const std::vector<Tensor>& in) {
-        return ops::Mean(ops::Square(ops::FusedAttentionLayerTrain(
-            in[0], in[1], in[2], in[3], 1e-5f, in[4], in[5], in[6], in[7],
-            0.5f, /*softmax=*/true, /*residual=*/in[8])));
-      },
-      {RandInput(Shape{2, 3, 4}, 281), RandInput(Shape{2, 3, 4}, 282),
-       RandInput(Shape{4}, 283), RandInput(Shape{4}, 284),
-       RandInput(Shape{4, 4}, 285), RandInput(Shape{4, 4}, 286),
-       RandInput(Shape{4, 4}, 287), RandInput(Shape{3}, 288),
-       RandInput(Shape{2, 3, 4}, 289)}));
+  // accumulating into the shared parameters), with a separate residual and
+  // without one (the first layer's pure cross-attention).
+  for (const bool softmax : {true, false}) {
+    for (const bool with_residual : {true, false}) {
+      SCOPED_TRACE(std::string("softmax=") + (softmax ? "on" : "off") +
+                   " residual=" + (with_residual ? "on" : "off"));
+      EXPECT_GRADCHECK_OK(GradCheck(
+          [softmax, with_residual](const std::vector<Tensor>& in) {
+            return ops::Mean(ops::Square(ops::FusedAttentionLayerTrain(
+                in[0], in[1], in[2], in[3], 1e-5f, in[4], in[5], in[6], in[7],
+                0.5f, softmax,
+                /*residual=*/with_residual ? in[8] : Tensor())));
+          },
+          {RandInput(Shape{2, 3, 4}, 281), RandInput(Shape{2, 3, 4}, 282),
+           RandInput(Shape{4}, 283), RandInput(Shape{4}, 284),
+           RandInput(Shape{4, 4}, 285), RandInput(Shape{4, 4}, 286),
+           RandInput(Shape{4, 4}, 287), RandInput(Shape{3}, 288),
+           RandInput(Shape{2, 3, 4}, 289)},
+          /*epsilon=*/1e-2));
+    }
+  }
 }
 
 TEST(GradCheckTest, FusedFeedForwardLayerTrainWithResidual) {
@@ -388,21 +332,24 @@ TEST(GradCheckTest, FusedTrainInsideArenaScope) {
   // a step scope those come from the arena — as do the leaf inputs and
   // (per assign_like, matching their data's storage class) their grads,
   // since everything here is created inside the scope. One scope spans the
-  // whole check, so all of it stays valid until the end.
+  // whole check, so all of it stays valid until the end. The attention node
+  // runs self-aliased without a task bias; the MLP node runs without its
+  // residual, the branch no encoder block takes.
   Arena arena;
   ArenaScope scope(&arena);
   EXPECT_GRADCHECK_OK(GradCheck(
       [](const std::vector<Tensor>& in) {
-        Tensor attended = ops::FusedAttentionTrain(
-            in[0], in[0], in[1], in[2], in[3], Tensor(), 0.5f,
-            /*softmax=*/true);
-        return ops::Mean(ops::Square(
-            ops::FusedFeedForwardTrain(attended, in[4], in[5], in[6], in[7])));
+        Tensor attended = ops::FusedAttentionLayerTrain(
+            in[0], in[0], in[1], in[2], 1e-5f, in[3], in[4], in[5], Tensor(),
+            0.5f, /*softmax=*/true, /*residual=*/in[0]);
+        return ops::Mean(ops::Square(ops::FusedFeedForwardLayerTrain(
+            attended, in[1], in[2], 1e-5f, in[6], in[7], in[8], in[9])));
       },
-      {RandInput(Shape{2, 3, 4}, 231), RandInput(Shape{4, 4}, 232),
-       RandInput(Shape{4, 4}, 233), RandInput(Shape{4, 4}, 234),
-       RandInput(Shape{4, 6}, 235), RandInput(Shape{6}, 236),
-       RandInput(Shape{6, 4}, 237), RandInput(Shape{4}, 238)}));
+      {RandInput(Shape{2, 3, 4}, 231), RandInput(Shape{4}, 232),
+       RandInput(Shape{4}, 233), RandInput(Shape{4, 4}, 234),
+       RandInput(Shape{4, 4}, 235), RandInput(Shape{4, 4}, 236),
+       RandInput(Shape{4, 6}, 237), RandInput(Shape{6}, 238),
+       RandInput(Shape{6, 4}, 239), RandInput(Shape{4}, 240)}));
 }
 
 // End-to-end backward correctness over the packed/SIMD GEMM kernels and the
